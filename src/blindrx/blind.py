@@ -44,6 +44,7 @@ class BandEstimate:
 
     b1: float
     b2: float
+    stages: tuple[tuple[float, float], ...] = ()  # (center, halfwidth) applied
 
     @property
     def center(self) -> float:
@@ -80,6 +81,7 @@ class EstimateSet:
     eq_taps: np.ndarray | None = None
     band: BandEstimate | None = None
     diagnostics: dict = field(default_factory=dict)
+    residual_cfo: float = 0.0
 
 
 def fft_bins(fft_size: int) -> np.ndarray:
@@ -156,6 +158,11 @@ def _segment_stage(
     return center, halfwidth
 
 
+def _recenter(x: np.ndarray, center: float, halfwidth: float) -> np.ndarray:
+    """Shift ``center`` to DC and lowpass to 1.2 x ``halfwidth``."""
+    return lowpass(frequency_shift(x, -center), 1.2 * halfwidth)
+
+
 def band_segment(
     x: np.ndarray, n0: float | None = None
 ) -> tuple[BandEstimate, np.ndarray]:
@@ -170,12 +177,12 @@ def band_segment(
     x = np.asarray(x)
     if x.size < 256:
         raise SignalTooShortError("band segmentation needs >= 256 samples")
-    center1, halfwidth1 = _segment_stage(x, STAGE1_FFT, n0)
-    filtered = lowpass(frequency_shift(x, -center1), 1.2 * halfwidth1)
-    center2, halfwidth2 = _segment_stage(filtered, STAGE2_FFT, n0)
-    refined = lowpass(frequency_shift(filtered, -center2), 1.2 * halfwidth2)
-    center = center1 + center2
-    band = BandEstimate(b1=center - halfwidth2, b2=center + halfwidth2)
+    stage1 = _segment_stage(x, STAGE1_FFT, n0)
+    filtered = _recenter(x, *stage1)
+    stage2 = _segment_stage(filtered, STAGE2_FFT, n0)
+    refined = _recenter(filtered, *stage2)
+    center, halfwidth = stage1[0] + stage2[0], stage2[1]
+    band = BandEstimate(center - halfwidth, center + halfwidth, (stage1, stage2))
     return band, refined
 
 
@@ -222,6 +229,11 @@ def fine_symbol_rate(z: np.ndarray, bw_coarse: float) -> RateEstimate:
     best, objective = _line_search(np.abs(z) ** 2, grid)
     peak_to_mean = float(objective[best] / np.mean(objective))
     return RateEstimate(tau=1.0 / float(grid[best]), peak_to_mean=peak_to_mean)
+
+
+def timing_tau(tau_hat: float) -> float:
+    """Clamp a rate estimate into the range the timing interpolator accepts."""
+    return float(np.clip(tau_hat, *GARDNER_TAU_LIMITS))
 
 
 def gardner_timing(z: np.ndarray, tau_hat: float) -> TimingEstimate:
@@ -299,8 +311,12 @@ def cma_equalize(z: np.ndarray, step: float = CMA_STEP) -> CmaResult:
         w = w - step * g * (np.abs(g) ** 2 - 1.0) * np.conj(r)
         if np.abs(w).max() > CMA_DIVERGENCE_LIMIT:
             raise CmaDivergenceError(f"tap magnitude exceeded at step {m}")
-    output = np.convolve(zn, w[::-1], mode="same")
-    return CmaResult(taps=w, output=output)
+    return CmaResult(taps=w, output=_apply_taps(z, w))
+
+
+def _apply_taps(z: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Normalize to unit mean power and filter, center tap at zero delay."""
+    return np.convolve(z / np.sqrt(mean_power(z)), taps[::-1], mode="same")
 
 
 def blind_chain(
@@ -322,7 +338,7 @@ def blind_chain(
     f0_hat = band.center + residual
 
     rate = fine_symbol_rate(x2, 2.0 * band.halfwidth)
-    tau_for_timing = float(np.clip(rate.tau, *GARDNER_TAU_LIMITS))
+    tau_for_timing = timing_tau(rate.tau)
     timing = gardner_timing(x2, tau_for_timing)
     cma = cma_equalize(x2)
 
@@ -338,5 +354,18 @@ def blind_chain(
             "timing_crossing_found": timing.crossing_found,
             "tau_clipped_for_timing": tau_for_timing != rate.tau,
         },
+        residual_cfo=residual,
     )
     return estimates, cma.output
+
+
+def equalized_output(y: np.ndarray, estimates: EstimateSet) -> np.ndarray:
+    """Rebuild :func:`blind_chain`'s output, bit for bit, from its estimates.
+
+    Replays the segmentation stages, the residual CFO and the final CMA taps.
+    """
+    x = np.asarray(y)
+    for center, halfwidth in estimates.band.stages:
+        x = _recenter(x, center, halfwidth)
+    x = frequency_shift(x, -estimates.residual_cfo)
+    return _apply_taps(x, estimates.eq_taps)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import json
 import multiprocessing
 import os
@@ -32,6 +34,7 @@ from .generator import (
     DatasetSpec,
     DatasetWriter,
     ModulationType,
+    dataset_fingerprint,
     generate_one,
     iter_record_signals,
     read_meta,
@@ -80,12 +83,16 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _fan_out(worker, payload, workers: int, chunksize: int):
+    """Yield ``worker(item)`` for each item in order, in-process or on a pool."""
+    if workers <= 1:
+        yield from map(worker, payload)
+    else:
+        with multiprocessing.Pool(workers) as pool:
+            yield from pool.imap(worker, payload, chunksize=chunksize)
+
+
 # ----------------------------------------------------------------- generate
-
-
-def _generate_worker(args):
-    spec, index = args
-    return generate_one(spec, index)
 
 
 def cmd_generate(args) -> int:
@@ -96,16 +103,10 @@ def cmd_generate(args) -> int:
         snr_levels_db=_parse_snr(args.snr),
         modulations=_parse_mods(args.mods, tuple(ModulationType)),
     )
-    workers = args.workers
+    generate = functools.partial(generate_one, spec)
     with DatasetWriter(args.out, spec) as writer:
-        if workers <= 1:
-            for i in range(spec.count):
-                writer.append(generate_one(spec, i))
-        else:
-            payload = ((spec, i) for i in range(spec.count))
-            with multiprocessing.Pool(workers) as pool:
-                for record in pool.imap(_generate_worker, payload, chunksize=16):
-                    writer.append(record)
+        for record in _fan_out(generate, range(spec.count), args.workers, 16):
+            writer.append(record)
     print(f"wrote {spec.count} records to {args.out}")
     return 0
 
@@ -116,12 +117,7 @@ def cmd_generate(args) -> int:
 def _band_payload(band: blind.BandEstimate | None):
     if band is None:
         return None
-    return {
-        "b1": band.b1,
-        "b2": band.b2,
-        "center": band.center,
-        "halfwidth": band.halfwidth,
-    }
+    return {**asdict(band), "center": band.center, "halfwidth": band.halfwidth}
 
 
 def _taps_payload(taps: np.ndarray | None):
@@ -130,18 +126,31 @@ def _taps_payload(taps: np.ndarray | None):
     return [[float(t.real), float(t.imag)] for t in taps]
 
 
+def _estimates_from_line(line: dict) -> blind.EstimateSet:
+    """The blind estimates of an ``ok`` line written by ``_estimate_worker``."""
+    band = line["band"]
+    stages = tuple(map(tuple, band["stages"]))
+    return blind.EstimateSet(
+        f0_hat=line["f0_hat"],
+        tau_hat=line["tau_hat"],
+        t0_hat=line["t0_hat"],
+        eq_taps=np.array([complex(re, im) for re, im in line["eq_taps"]]),
+        band=blind.BandEstimate(band["b1"], band["b2"], stages),
+        residual_cfo=line["residual_cfo"],
+    )
+
+
 def _estimate_worker(args) -> list[dict]:
-    index, rec_meta, y, methods, n0_policy = args
-    y = np.asarray(y)
+    index, rec_meta, y, methods, stamp = args
     lines = []
     for method in methods:
-        line = {"signal_id": index, "method": method}
+        line = {"signal_id": index, "method": method, **stamp}
         try:
             if method == "genie":
                 record = record_from_meta(rec_meta, y)
                 estimates, _ = recovery.genie_chain(record)
             else:
-                n0 = rec_meta["n0"] if n0_policy == "known" else None
+                n0 = rec_meta["n0"] if stamp["n0_policy"] == "known" else None
                 estimates, _ = blind.blind_chain(y, n0=n0)
             line.update(
                 status="ok",
@@ -151,6 +160,7 @@ def _estimate_worker(args) -> list[dict]:
                 band=_band_payload(estimates.band),
                 eq_taps=_taps_payload(estimates.eq_taps),
                 diagnostics=estimates.diagnostics,
+                residual_cfo=estimates.residual_cfo,
             )
         except BlindRxError as exc:
             line.update(status=_status_name(exc), detail=str(exc))
@@ -165,22 +175,16 @@ def _method_list(method: str) -> list[str]:
 def cmd_estimate(args) -> int:
     meta = read_meta(args.dataset)
     methods = _method_list(args.method)
+    stamp = {"n0_policy": args.n0, "dataset_sha256": dataset_fingerprint(args.dataset)}
     payload = (
-        (i, rec_meta, y, methods, args.n0)
+        (i, rec_meta, y, methods, stamp)
         for (i, rec_meta), (y,) in zip(
             enumerate(meta["records"]), iter_record_signals(args.dataset, ("y",))
         )
     )
     with open(args.out, "w") as out:
-        if args.workers <= 1:
-            for item in payload:
-                for line in _estimate_worker(item):
-                    out.write(_json_line(line) + "\n")
-        else:
-            with multiprocessing.Pool(args.workers) as pool:
-                for lines in pool.imap(_estimate_worker, payload, chunksize=8):
-                    for line in lines:
-                        out.write(_json_line(line) + "\n")
+        for lines in _fan_out(_estimate_worker, payload, args.workers, 8):
+            out.writelines(_json_line(line) + "\n" for line in lines)
     print(f"wrote estimates for {meta['count']} records to {args.out}")
     return 0
 
@@ -188,101 +192,83 @@ def cmd_estimate(args) -> int:
 # ------------------------------------------------------------------- decode
 
 
-def _failed_eval(index, rec_meta, method, status) -> metrics.EvalRecord:
-    return metrics.EvalRecord(
-        signal_id=index,
-        modulation=rec_meta["modulation"],
-        snr_db=rec_meta["snr_db"],
-        method=method,
-        abs_f0_err=metrics.FAILED_F0_ERROR,
-        abs_tau_err=metrics.FAILED_TAU_ERROR,
-        circ_t0_err=metrics.FAILED_T0_ERROR,
-        status=status,
-    )
-
-
 def _decode_worker(args) -> list[dict]:
-    index, rec_meta, y, z2, statuses, methods, n0_policy, decode_mods = args
-    y = np.asarray(y)
-    z2 = np.asarray(z2)
+    index, rec_meta, y, z2, est_lines, decode_mods = args
     record = record_from_meta(rec_meta, y, z2=z2)
     results = []
-    for method in methods:
-        prior_status = statuses.get(method, "ok")
-        if prior_status != "ok":
-            results.append(asdict(_failed_eval(index, rec_meta, method, prior_status)))
-            continue
-        try:
-            if method == "genie":
-                estimates, recovered = recovery.genie_chain(record)
-            else:
-                n0 = rec_meta["n0"] if n0_policy == "known" else None
-                estimates, recovered = blind.blind_chain(y, n0=n0)
-        except BlindRxError as exc:
-            results.append(
-                asdict(_failed_eval(index, rec_meta, method, _status_name(exc)))
-            )
-            continue
-        f0_err, tau_err, t0_err = metrics.estimation_errors(estimates, record.params)
-        eval_record = metrics.EvalRecord(
+    for method, line in est_lines.items():
+        scores = metrics.EvalRecord(
             signal_id=index,
             modulation=rec_meta["modulation"],
             snr_db=rec_meta["snr_db"],
             method=method,
-            abs_f0_err=f0_err,
-            abs_tau_err=tau_err,
-            circ_t0_err=t0_err,
-            recon_loss=metrics.phase_invariant_loss(recovered, z2),
+            abs_f0_err=metrics.FAILED_F0_ERROR,
+            abs_tau_err=metrics.FAILED_TAU_ERROR,
+            circ_t0_err=metrics.FAILED_T0_ERROR,
+            status=line["status"],
         )
-        if record.modulation in decode_mods and record.modulation.is_linear:
-            try:
-                tau_for_resample = float(
-                    np.clip(estimates.tau_hat, *blind.GARDNER_TAU_LIMITS)
-                )
-                soft = recovery.symbol_resample(
-                    recovered, tau_for_resample, estimates.t0_hat
-                )
-                decoded = recovery.decode_symbols(
-                    soft, record.modulation, record.symbols.values[0]
-                )
-                eval_record.ser = recovery.ser(decoded, record.symbols)
-            except BlindRxError as exc:
-                eval_record.ser = None
-                eval_record.status = _status_name(exc)
+        results.append(scores)
+        if scores.status != "ok":
+            continue
+        if method == "genie":
+            estimates, recovered = recovery.genie_chain(record)
         else:
-            eval_record.status = "not_decoded"
-        results.append(asdict(eval_record))
-    return results
+            estimates = _estimates_from_line(line)
+            recovered = blind.equalized_output(y, estimates)
+        scores.abs_f0_err, scores.abs_tau_err, scores.circ_t0_err = (
+            metrics.estimation_errors(estimates, record.params)
+        )
+        scores.recon_loss = metrics.phase_invariant_loss(recovered, z2)
+        if record.modulation not in decode_mods or not record.modulation.is_linear:
+            scores.status = "not_decoded"
+            continue
+        try:
+            soft = recovery.symbol_resample(
+                recovered, blind.timing_tau(estimates.tau_hat), estimates.t0_hat
+            )
+            decoded = recovery.decode_symbols(
+                soft, record.modulation, record.symbols.values[0]
+            )
+            scores.ser = recovery.ser(decoded, record.symbols)
+        except BlindRxError as exc:
+            scores.status = _status_name(exc)
+    return [asdict(scores) for scores in results]
+
+
+def _load_estimates(args, n_records: int, methods) -> dict[tuple[int, str], dict]:
+    """Estimate lines by (record, method), stamped with this dataset and,
+    if ``--n0`` is given, that policy; anything else raises ValueError."""
+    stamp = {"dataset_sha256": dataset_fingerprint(args.dataset)}
+    if args.n0 is not None:
+        stamp["n0_policy"] = args.n0
+    lines = {}
+    with open(args.estimates) as fh:
+        for line in map(json.loads, fh):
+            found = {key: line.get(key) for key in stamp}
+            if found != stamp:
+                raise ValueError(f"{args.estimates}: stamp {found} != {stamp}")
+            lines[line["signal_id"], line["method"]] = line
+    for key in itertools.product(range(n_records), methods):
+        if key not in lines:
+            raise ValueError(f"{args.estimates}: no line for (record, method) {key}")
+    return lines
 
 
 def cmd_decode(args) -> int:
     meta = read_meta(args.dataset)
     decode_mods = _parse_mods(args.mods, DEFAULT_DECODE_MODS)
     methods = _method_list(args.method)
-    statuses: dict[int, dict[str, str]] = {}
-    with open(args.estimates) as fh:
-        for raw in fh:
-            line = json.loads(raw)
-            statuses.setdefault(line["signal_id"], {})[line["method"]] = line[
-                "status"
-            ]
+    estimates = _load_estimates(args, meta["count"], methods)
     payload = (
-        (i, rec_meta, y, z2, statuses.get(i, {}), methods, args.n0, decode_mods)
+        (i, rec_meta, y, z2, {m: estimates[i, m] for m in methods}, decode_mods)
         for (i, rec_meta), (y, z2) in zip(
             enumerate(meta["records"]),
             iter_record_signals(args.dataset, ("y", "z2")),
         )
     )
     with open(args.out, "w") as out:
-        if args.workers <= 1:
-            for item in payload:
-                for line in _decode_worker(item):
-                    out.write(_json_line(line) + "\n")
-        else:
-            with multiprocessing.Pool(args.workers) as pool:
-                for lines in pool.imap(_decode_worker, payload, chunksize=8):
-                    for line in lines:
-                        out.write(_json_line(line) + "\n")
+        for lines in _fan_out(_decode_worker, payload, args.workers, 8):
+            out.writelines(_json_line(line) + "\n" for line in lines)
     print(f"wrote evaluation records to {args.out}")
     return 0
 
@@ -391,7 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--estimates", required=True, help="estimates JSONL path")
     dec.add_argument("--out", required=True, help="evaluation JSONL path")
     dec.add_argument("--method", choices=("blind", "genie", "both"), default="blind")
-    dec.add_argument("--n0", choices=("known", "estimated"), default="known")
+    dec.add_argument(
+        "--n0",
+        choices=("known", "estimated"),
+        default=None,
+        help="require this n0 policy in the estimates (default: as stamped)",
+    )
     dec.add_argument(
         "--mods", default=None, help="modulations to decode (default bpsk,qpsk)"
     )
@@ -417,9 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            raise
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (OSError, BlindRxError) as exc:

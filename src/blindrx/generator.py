@@ -19,6 +19,7 @@ values.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -138,10 +139,7 @@ def sample_params(rng, spec: DatasetSpec) -> tuple[TxParams, ModulationType]:
     else:
         snr_db = spec.snr_levels_db[int(rng.integers(len(spec.snr_levels_db)))]
 
-    decimation = int(N_UP // tau_nominal)
-    tau_real = N_UP / decimation
-    removed = int(round(t0_draw * N_UP))
-    t0_real = ((N_UP - removed) % N_UP) / N_UP
+    _, _, tau_real, t0_real = _realize_timing(t0_draw, tau_nominal)
 
     sigma = float(rng.uniform(0.0, tau_real))
     channel = build_fading(sigma, rng)
@@ -158,6 +156,13 @@ def sample_params(rng, spec: DatasetSpec) -> tuple[TxParams, ModulationType]:
     return params, modulation
 
 
+def _realize_timing(t0: float, tau_nominal: float) -> tuple[int, int, float, float]:
+    """(samples removed, decimation, realized tau, realized t0) of a draw."""
+    removed = int(round(t0 * N_UP))
+    decimation = int(N_UP // tau_nominal)
+    return removed, decimation, N_UP / decimation, ((N_UP - removed) % N_UP) / N_UP
+
+
 def apply_timing_and_rate(
     shaped: np.ndarray, t0: float, tau_nominal: float
 ) -> tuple[np.ndarray, float, float]:
@@ -167,13 +172,10 @@ def apply_timing_and_rate(
     ``N_UP / floor(N_UP / tau_nominal)``, and the realized timing label
     (symbol-peak phase of the surviving stream).
     """
-    removed = int(round(t0 * N_UP))
-    decimation = int(N_UP // tau_nominal)
+    removed, decimation, tau_real, t0_real = _realize_timing(t0, tau_nominal)
     out = np.asarray(shaped)[removed::decimation]
     if out.size == 0:
         raise SignalTooShortError("no samples remain after timing removal")
-    tau_real = N_UP / decimation
-    t0_real = ((N_UP - removed) % N_UP) / N_UP
     return out, tau_real, t0_real
 
 
@@ -264,7 +266,8 @@ def generate_one(
     Passing ``params``/``modulation`` bypasses sampling and drives the
     chain with explicit values (the noise and data draws still come from
     the record's own stream), which is how controlled test signals are
-    built.
+    built. Explicit labels must be realizable: tau = N_UP / D for an
+    integer D, and t0 a multiple of 1 / N_UP.
     """
     rng = make_rng(spec.seed, index)
     if params is None:
@@ -274,8 +277,10 @@ def generate_one(
     elif modulation is None:
         raise ValueError("explicit params require an explicit modulation")
 
+    decimation = max(int(round(N_UP / params.tau)), 1)
+    if N_UP / decimation != params.tau or params.t0 * N_UP % 1.0 != 0.0:
+        raise ValueError(f"tau {params.tau} / t0 {params.t0} is off the 1/{N_UP} grid")
     removed = (N_UP - int(round(params.t0 * N_UP))) % N_UP
-    decimation = int(round(N_UP / params.tau))
     n_symbols_label = spec.n_r // math.ceil(params.tau)
     n_symbols_gen = math.ceil(spec.n_r * decimation / N_UP) + 6
 
@@ -424,37 +429,14 @@ def write_dataset(path, records, spec: DatasetSpec | None = None) -> None:
 
 def read_dataset(path) -> list[TxGroundTruth]:
     """Read back a dataset directory written by :func:`write_dataset`."""
-    path = Path(path)
-    with open(path / "meta.json") as fh:
-        meta = json.load(fh)
-    if meta.get("format_version") != DATASET_FORMAT_VERSION:
-        raise FormatVersionMismatchError(
-            f"dataset format {meta.get('format_version')!r}, "
-            f"expected {DATASET_FORMAT_VERSION}"
-        )
-    count = meta["count"]
-    n_r = meta["n_r"]
-    streams = {}
-    for name in _IQ_FILES:
-        raw = (path / name).read_bytes()
-        expected = count * n_r * 8
-        if len(raw) < expected:
-            raise TruncatedFileError(
-                f"{name}: {len(raw)} bytes, expected {expected}"
-            )
-        streams[name] = np.frombuffer(raw[:expected], dtype="<c8")
-    records = []
-    for i, rec_meta in enumerate(meta["records"]):
-        sl = slice(i * n_r, (i + 1) * n_r)
-        records.append(
-            record_from_meta(
-                rec_meta,
-                streams["y.iq"][sl].astype(np.complex128),
-                streams["z1.iq"][sl].astype(np.complex128),
-                streams["z2.iq"][sl].astype(np.complex128),
-            )
-        )
-    return records
+    records = read_meta(path)["records"]
+    signals = iter_record_signals(path, ("y", "z1", "z2"))
+    return [record_from_meta(rec, *arrays) for rec, arrays in zip(records, signals)]
+
+
+def dataset_fingerprint(path) -> str:
+    """SHA-256 of a dataset's ``meta.json`` bytes."""
+    return hashlib.sha256((Path(path) / "meta.json").read_bytes()).hexdigest()
 
 
 def read_meta(path) -> dict:

@@ -13,7 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindrx.blind import blind_chain, fine_cfo, fine_symbol_rate, gardner_timing
+from blindrx.blind import (
+    blind_chain,
+    fine_cfo,
+    fine_symbol_rate,
+    gardner_timing,
+    timing_tau,
+)
 from blindrx.cli import main as cli_main
 from blindrx.errors import BlindRxError
 from blindrx.generator import (
@@ -48,8 +54,7 @@ def random_signal(rng, n):
 
 
 def decode_record(record, estimates, recovered):
-    tau = float(np.clip(estimates.tau_hat, 3.0, 20.0))
-    soft = symbol_resample(recovered, tau, estimates.t0_hat)
+    soft = symbol_resample(recovered, timing_tau(estimates.tau_hat), estimates.t0_hat)
     decoded = decode_symbols(soft, record.modulation, record.symbols.values[0])
     return ser(decoded, record.symbols)
 

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from blindrx.blind import (
     band_segment,
     blind_chain,
     cma_equalize,
+    equalized_output,
     fft_bins,
     fine_cfo,
     fine_symbol_rate,
@@ -18,7 +22,15 @@ from blindrx.errors import (
     NoBandDetectedError,
     SignalTooShortError,
 )
-from blindrx.generator import DatasetSpec, TxParams, generate_one, make_rng
+from blindrx.cli import _estimates_from_line, main
+from blindrx.generator import (
+    DatasetSpec,
+    TxParams,
+    generate_one,
+    make_rng,
+    read_dataset,
+    write_dataset,
+)
 from blindrx.modulation import ModulationType
 
 SPEC = DatasetSpec(count=1, seed=50, n_r=1024)
@@ -328,3 +340,32 @@ def test_blind_chain_estimates_serializable():
     }
     text = json.dumps(payload)
     assert json.loads(text)["tau_hat"] == estimates.tau_hat
+
+
+def test_equalized_output_rebuilds_chain_output(tmp_path):
+    # The estimate line is the only thing decode keeps of a blind run, so
+    # the output rebuilt from its JSON must equal the chain's own, bit for
+    # bit, under both n0 policies. The tone's rate estimate is far above
+    # GARDNER_TAU_LIMITS, so its timing ran on a clipped tau.
+    spec = DatasetSpec(count=6, seed=52, n_r=1024, snr_levels_db=(10.0, 20.0),
+                       modulations=(ModulationType.BPSK, ModulationType.QAM16))
+    records = [generate_one(spec, i) for i in range(5)]
+    tone = np.exp(2j * np.pi * 0.003 * np.arange(1024))
+    tone += complex_noise(make_rng(77), 1024, variance=0.01)
+    records.append(dataclasses.replace(records[0], y=tone, n0=0.01))
+    write_dataset(tmp_path / "ds", records, spec)
+    stored = read_dataset(tmp_path / "ds")
+    clipped = []
+    for policy in ("known", "estimated"):
+        est = tmp_path / f"{policy}.jsonl"
+        assert main(["estimate", "--dataset", str(tmp_path / "ds"), "--out", str(est),
+                     "--n0", policy]) == 0
+        lines = [json.loads(raw) for raw in est.read_text().splitlines()]
+        assert [line["status"] for line in lines] == ["ok"] * 6
+        for line, rec in zip(lines, stored):
+            n0 = rec.n0 if policy == "known" else None
+            _, expected = blind_chain(rec.y, n0=n0)
+            rebuilt = equalized_output(rec.y, _estimates_from_line(line))
+            assert np.array_equal(rebuilt, expected)
+            clipped.append(line["diagnostics"]["tau_clipped_for_timing"])
+    assert clipped[5]

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blindrx import blind
 from blindrx.cli import main
 from blindrx.generator import (
     DatasetSpec,
@@ -184,6 +185,55 @@ def test_decode_failure_counts_as_packet_error(tmp_path):
     assert failed["abs_f0_err"] == 0.02
     assert failed["abs_tau_err"] == 12.0
     assert failed["circ_t0_err"] == 0.5
+
+
+def test_estimate_and_decode_worker_count_invariant(tmp_path, small_dataset):
+    outputs = {}
+    for workers in ("1", "2"):
+        est, out = tmp_path / f"est{workers}.jsonl", tmp_path / f"eval{workers}.jsonl"
+        assert run("estimate", "--dataset", str(small_dataset), "--out", str(est),
+                   "--method", "both", "--workers", workers) == 0
+        assert run("decode", "--dataset", str(small_dataset), "--estimates", str(est),
+                   "--out", str(out), "--method", "both", "--workers", workers) == 0
+        outputs[workers] = (est.read_bytes(), out.read_bytes())
+    assert outputs["1"] == outputs["2"]
+
+
+def test_decode_scores_persisted_blind_estimates(tmp_path, small_dataset, monkeypatch):
+    est = tmp_path / "est.jsonl"
+    run("estimate", "--dataset", str(small_dataset), "--out", str(est),
+        "--method", "both", "--n0", "estimated")
+    first, second = tmp_path / "d1.jsonl", tmp_path / "d2.jsonl"
+    assert run("decode", "--dataset", str(small_dataset), "--estimates", str(est),
+               "--out", str(first), "--method", "both") == 0
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("decode must not re-run the blind chain")
+
+    monkeypatch.setattr(blind, "blind_chain", refuse)
+    assert run("decode", "--dataset", str(small_dataset), "--estimates", str(est),
+               "--out", str(second), "--method", "both", "--n0", "estimated") == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("mismatch", ["dataset", "missing_line", "n0_policy"])
+def test_decode_rejects_estimates_that_do_not_fit(tmp_path, small_dataset, mismatch):
+    est = tmp_path / "est.jsonl"
+    run("estimate", "--dataset", str(small_dataset), "--out", str(est),
+        "--method", "both", "--n0", "known")
+    dataset, extra = small_dataset, []
+    if mismatch == "dataset":
+        dataset = tmp_path / "other"
+        run("generate", "--out", str(dataset), "--count", "12", "--seed", "22",
+            "--snr", "20", "--mods", "bpsk,qpsk")
+    elif mismatch == "missing_line":
+        est.write_text("".join(est.read_text().splitlines(keepends=True)[:-1]))
+    else:
+        extra = ["--n0", "estimated"]
+    out = tmp_path / "eval.jsonl"
+    assert run("decode", "--dataset", str(dataset), "--estimates", str(est),
+               "--out", str(out), "--method", "both", *extra) == 1
+    assert not out.exists()
 
 
 def test_decode_deterministic(tmp_path, small_dataset):

@@ -130,6 +130,16 @@ def test_rate_realization():
     assert tau == 8.0  # floor(64 / 7.3) = 8
 
 
+@pytest.mark.parametrize("labels", [{"tau": 7.3}, {"t0": 0.3}])
+def test_explicit_labels_must_be_realizable(labels):
+    # tau = 7.3 would be realized as 64 / round(64 / 7.3) = 7.11 under a
+    # 7.3 label; t0 = 0.3 is not on the 1/64 timing grid.
+    spec = DatasetSpec(count=1, seed=15, n_r=512)
+    with pytest.raises(ValueError):
+        generate_one(spec, 0, params=identity_params(**labels),
+                     modulation=ModulationType.BPSK)
+
+
 # ----------------------------------------------------------------- fading
 
 
