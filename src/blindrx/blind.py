@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
 
 from .dsp import frequency_shift, lowpass, mean_power, resample_to_sps
@@ -19,6 +20,7 @@ from .errors import (
     CmaDivergenceError,
     InvalidBandwidthError,
     NoBandDetectedError,
+    NonFiniteInputError,
     SignalTooShortError,
     ZeroPowerSignalError,
 )
@@ -98,7 +100,7 @@ def welch_psd(x: np.ndarray, fft_size: int) -> np.ndarray:
     x = np.asarray(x)
     if x.size < fft_size:
         raise SignalTooShortError(
-            f"need at least {fft_size} samples, got {x.size}"
+            f"need at least {fft_size} samples, got {x.size}", stage="welch_psd"
         )
     _, pxx = sp_signal.welch(
         x,
@@ -176,7 +178,9 @@ def band_segment(
     """
     x = np.asarray(x)
     if x.size < 256:
-        raise SignalTooShortError("band segmentation needs >= 256 samples")
+        raise SignalTooShortError(
+            "band segmentation needs >= 256 samples", stage="band_segment"
+        )
     stage1 = _segment_stage(x, STAGE1_FFT, n0)
     filtered = _recenter(x, *stage1)
     stage2 = _segment_stage(filtered, STAGE2_FFT, n0)
@@ -187,9 +191,16 @@ def band_segment(
 
 
 def _line_search(values: np.ndarray, grid: np.ndarray) -> tuple[int, np.ndarray]:
-    k = np.arange(values.size)
-    basis = np.exp(-2j * np.pi * np.outer(grid, k))
-    objective = np.abs(basis @ values)
+    """|sum_k values[k] exp(-j*2*pi*a*k)| at each a of an equispaced grid.
+
+    A chirp-z transform (Rabiner, Schafer & Rader 1969) evaluates the zoomed
+    band in O(N log N) without a grid-by-N basis.
+    """
+    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    spectrum = sp_signal.czt(
+        values, m=grid.size, w=np.exp(-2j * np.pi * step), a=np.exp(2j * np.pi * grid[0])
+    )
+    objective = np.abs(spectrum)
     return int(np.argmax(objective)), objective
 
 
@@ -202,7 +213,7 @@ def fine_cfo(z: np.ndarray, f0_coarse: float) -> float:
     """
     z = np.asarray(z)
     if z.size < 256:
-        raise SignalTooShortError("fine CFO needs >= 256 samples")
+        raise SignalTooShortError("fine CFO needs >= 256 samples", stage="fine_cfo")
     grid = np.linspace(
         4.0 * f0_coarse - CFO_ALPHA_HALF_WINDOW,
         4.0 * f0_coarse + CFO_ALPHA_HALF_WINDOW,
@@ -255,7 +266,9 @@ def gardner_timing(z: np.ndarray, tau_hat: float) -> TimingEstimate:
     guard = int(np.ceil(8.0 * p / tau_hat))
     zi = zi[guard : zi.size - guard]
     if zi.size < 3 * p:
-        raise SignalTooShortError("too few samples for timing recovery")
+        raise SignalTooShortError(
+            "too few samples for timing recovery", stage="gardner_timing"
+        )
     half = p // 2
     k = np.arange(half, zi.size - half)
     err = np.real((zi[k - half] - zi[k + half]) * np.conj(zi[k]))
@@ -294,23 +307,37 @@ def cma_equalize(z: np.ndarray, step: float = CMA_STEP) -> CmaResult:
     sample with g = w^T r, step mu = 1e-4, 20 taps, center-tap
     initialization. The output is the normalized input convolved with the
     final taps, aligned so the center tap contributes zero delay.
+
+    Divergence (a tap magnitude above 1e3) is checked after every step,
+    but the taps are scanned only when a running bound on their largest
+    magnitude passes half the limit: a step moves no tap by more than
+    |step * g * (|g|^2 - 1)| * max|zn|. The halved threshold leaves room
+    for rounding in the bound, so a step that diverges is never missed.
     """
     z = np.asarray(z)
     if z.size <= 2 * CMA_TAPS:
-        raise SignalTooShortError(f"need more than {2 * CMA_TAPS} samples")
+        raise SignalTooShortError(
+            f"need more than {2 * CMA_TAPS} samples", stage="cma_equalize"
+        )
     power = mean_power(z)
     if power <= 0.0:
-        raise ZeroPowerSignalError("cannot equalize a zero signal")
+        raise ZeroPowerSignalError("cannot equalize a zero signal", stage="cma_equalize")
     zn = z / np.sqrt(power)
+    windows = sliding_window_view(zn, CMA_TAPS)
+    peak = np.abs(zn).max()
 
     w = np.zeros(CMA_TAPS, dtype=np.complex128)
     w[CMA_TAPS // 2] = 1.0
-    for m in range(zn.size - CMA_TAPS + 1):
-        r = zn[m : m + CMA_TAPS]
+    bound = 1.0
+    for m, (r, conj_r) in enumerate(zip(windows, np.conj(windows))):
         g = np.dot(w, r)
-        w = w - step * g * (np.abs(g) ** 2 - 1.0) * np.conj(r)
-        if np.abs(w).max() > CMA_DIVERGENCE_LIMIT:
-            raise CmaDivergenceError(f"tap magnitude exceeded at step {m}")
+        c = step * g * (np.abs(g) ** 2 - 1.0)
+        w = w - c * conj_r
+        bound += np.abs(c) * peak
+        if bound > 0.5 * CMA_DIVERGENCE_LIMIT:
+            bound = np.abs(w).max()
+            if bound > CMA_DIVERGENCE_LIMIT:
+                raise CmaDivergenceError(f"tap magnitude exceeded at step {m}")
     return CmaResult(taps=w, output=_apply_taps(z, w))
 
 
@@ -327,11 +354,15 @@ def blind_chain(
     Stage order: band segmentation (which recenters and filters), residual
     fine CFO correction, fine symbol rate, Gardner timing, CMA
     equalization. Returns the estimates plus the equalized signal.
-    Stage failures raise library errors carrying a ``stage`` attribute.
+    Stage failures raise library errors carrying a ``stage`` attribute;
+    a record that is too short or holds a NaN or Inf sample fails at stage
+    ``input``.
     """
     y = np.asarray(y)
     if y.size < 256:
-        raise SignalTooShortError("blind chain needs >= 256 samples")
+        raise SignalTooShortError("blind chain needs >= 256 samples", stage="input")
+    if not np.isfinite(y).all():
+        raise NonFiniteInputError("received record holds NaN or Inf samples")
     band, x1 = band_segment(y, n0)
     residual = fine_cfo(x1, 0.0)
     x2 = frequency_shift(x1, -residual)

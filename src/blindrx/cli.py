@@ -163,7 +163,7 @@ def _estimate_worker(args) -> list[dict]:
                 residual_cfo=estimates.residual_cfo,
             )
         except BlindRxError as exc:
-            line.update(status=_status_name(exc), detail=str(exc))
+            line.update(status=_status_name(exc), detail=str(exc), stage=exc.stage)
         lines.append(line)
     return lines
 

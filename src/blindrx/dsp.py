@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import signal as sp_signal
+from scipy import special
 
 LOWPASS_TAPS = 65
 _INTERP_HALF_WIDTH = 8
@@ -34,7 +35,7 @@ def mean_power(x: np.ndarray) -> float:
 
 def _kaiser_window(offsets: np.ndarray) -> np.ndarray:
     inside = np.clip(1.0 - (offsets / _INTERP_HALF_WIDTH) ** 2, 0.0, None)
-    return np.i0(_INTERP_KAISER_BETA * np.sqrt(inside)) / np.i0(_INTERP_KAISER_BETA)
+    return special.i0(_INTERP_KAISER_BETA * np.sqrt(inside)) / special.i0(_INTERP_KAISER_BETA)
 
 
 def interpolate_at(x: np.ndarray, positions: np.ndarray) -> np.ndarray:

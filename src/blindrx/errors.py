@@ -1,12 +1,21 @@
 """Exception types raised across the library.
 
 Every error derives from :class:`BlindRxError` so batch drivers can catch
-one base class, record the failure, and keep going.
+one base class, record the failure, and keep going. Errors raised by the
+blind chain name the failing step in ``stage``: a class default where the
+error has one source, or the ``stage`` argument where it has several.
 """
 
 
 class BlindRxError(Exception):
     """Base class for all library errors."""
+
+    stage: str | None = None
+
+    def __init__(self, message: str = "", stage: str | None = None):
+        super().__init__(message)
+        if stage is not None:
+            self.stage = stage
 
 
 class NonLinearModulationError(BlindRxError):
@@ -46,9 +55,19 @@ class NoBandDetectedError(BlindRxError):
 class InvalidBandwidthError(BlindRxError):
     """Coarse bandwidth must be positive to derive a symbol-rate window."""
 
+    stage = "fine_symbol_rate"
+
 
 class CmaDivergenceError(BlindRxError):
     """Constant-modulus tap magnitudes blew past the divergence guard."""
+
+    stage = "cma_equalize"
+
+
+class NonFiniteInputError(BlindRxError):
+    """The received record holds a NaN or infinite sample."""
+
+    stage = "input"
 
 
 class LengthMismatchError(BlindRxError):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -368,7 +369,13 @@ _IQ_FILES = ("y.iq", "z1.iq", "z2.iq")
 
 
 class DatasetWriter:
-    """Incremental dataset writer; records stream straight to disk."""
+    """Incremental dataset writer; records stream straight to disk.
+
+    ``meta.json`` exists only after a close that ends a run without an
+    exception: it is written under a temporary name and renamed into place,
+    and a stale one is removed on open, since opening truncates the IQ
+    files it described. An interrupted run leaves no label table.
+    """
 
     def __init__(self, path, spec: DatasetSpec | None = None):
         self.path = Path(path)
@@ -376,6 +383,7 @@ class DatasetWriter:
         self.spec = spec
         self._metas: list[dict] = []
         self._n_r: int | None = spec.n_r if spec else None
+        (self.path / "meta.json").unlink(missing_ok=True)
         self._handles = [open(self.path / name, "wb") for name in _IQ_FILES]
 
     def append(self, record: TxGroundTruth) -> None:
@@ -406,14 +414,20 @@ class DatasetWriter:
             },
             "records": self._metas,
         }
-        with open(self.path / "meta.json", "w") as fh:
+        partial = self.path / "meta.json.partial"
+        with open(partial, "w") as fh:
             json.dump(meta, fh, sort_keys=True, separators=(",", ":"))
+        os.replace(partial, self.path / "meta.json")
 
     def __enter__(self) -> "DatasetWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            for fh in self._handles:
+                fh.close()
 
 
 def write_dataset(path, records, spec: DatasetSpec | None = None) -> None:

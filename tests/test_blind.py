@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from blindrx import blind
 from blindrx.blind import (
+    CFO_GRID_POINTS,
+    CMA_DIVERGENCE_LIMIT,
+    CMA_TAPS,
+    RATE_GRID_POINTS,
     band_segment,
     blind_chain,
     cma_equalize,
@@ -14,13 +21,19 @@ from blindrx.blind import (
     fine_symbol_rate,
     gardner_timing,
     welch_psd,
+    _apply_taps,
+    _line_search,
     _segment_stage,
 )
-from blindrx.dsp import frequency_shift, mean_power
+from blindrx.dsp import frequency_shift, lowpass, mean_power
 from blindrx.errors import (
+    BlindRxError,
+    CmaDivergenceError,
     InvalidBandwidthError,
     NoBandDetectedError,
+    NonFiniteInputError,
     SignalTooShortError,
+    ZeroPowerSignalError,
 )
 from blindrx.cli import _estimates_from_line, main
 from blindrx.generator import (
@@ -369,3 +382,168 @@ def test_equalized_output_rebuilds_chain_output(tmp_path):
             assert np.array_equal(rebuilt, expected)
             clipped.append(line["diagnostics"]["tau_clipped_for_timing"])
     assert clipped[5]
+
+
+# ------------------------------------------- equivalence with the dense forms
+
+
+def dense_line_search(values, grid):
+    """The line search as a grid-by-N basis product."""
+    k = np.arange(values.size)
+    objective = np.abs(np.exp(-2j * np.pi * np.outer(grid, k)) @ values)
+    return int(np.argmax(objective)), objective
+
+
+def chain_signal(n_r, index):
+    spec = DatasetSpec(count=index + 1, seed=53, n_r=n_r, snr_levels_db=(10.0,),
+                       modulations=(ModulationType.QPSK,))
+    record = generate_one(spec, index)
+    _, x1 = band_segment(record.y, record.n0)
+    return record, x1
+
+
+@pytest.mark.parametrize("n_r", [1024, 8192])
+def test_line_search_matches_dense_basis(n_r):
+    record, x1 = chain_signal(n_r, 0)
+    bw = 1.0 / record.params.tau
+    f0 = record.params.f0
+    cases = [
+        # fine_symbol_rate's window around the coarse rate
+        (np.abs(x1) ** 2, np.linspace(0.85 * bw, 1.15 * bw, RATE_GRID_POINTS)),
+        # blind_chain's centred residual CFO search
+        (x1**4, np.linspace(-1e-3, 1e-3, CFO_GRID_POINTS)),
+        # criterion 6's fine_cfo(y, f0): a window off the origin
+        (record.y**4, np.linspace(4 * f0 - 1e-3, 4 * f0 + 1e-3, CFO_GRID_POINTS)),
+    ]
+    for values, grid in cases:
+        best, objective = _line_search(values, grid)
+        ref_best, ref_objective = dense_line_search(values, grid)
+        assert best == ref_best
+        np.testing.assert_allclose(objective, ref_objective, rtol=1e-9)
+
+
+def reference_cma(z, step, limit=CMA_DIVERGENCE_LIMIT):
+    """CMA with the tap scan after every step."""
+    zn = z / np.sqrt(mean_power(z))
+    w = np.zeros(CMA_TAPS, dtype=np.complex128)
+    w[CMA_TAPS // 2] = 1.0
+    for m in range(zn.size - CMA_TAPS + 1):
+        r = zn[m : m + CMA_TAPS]
+        g = np.dot(w, r)
+        w = w - step * g * (np.abs(g) ** 2 - 1.0) * np.conj(r)
+        if np.abs(w).max() > limit:
+            raise CmaDivergenceError(f"tap magnitude exceeded at step {m}")
+    return w, _apply_taps(z, w)
+
+
+def cma_input(name):
+    if name == "noise":
+        return complex_noise(make_rng(71), 4000)
+    return chain_signal(1024, 1)[1]
+
+
+# With the limit at 2.2 the taps (max 1.005) never diverge, but the running
+# bound passes half the limit 59 times in 3981 steps, so scans and resets
+# interleave with skipped steps.
+@pytest.mark.parametrize("name, step, limit", [
+    ("chain", 1e-4, CMA_DIVERGENCE_LIMIT),
+    ("chain", 0.0, CMA_DIVERGENCE_LIMIT),
+    ("noise", 0.01, CMA_DIVERGENCE_LIMIT),
+    ("noise", 0.01, 2.2),
+])
+def test_cma_matches_per_step_reference_bit_for_bit(monkeypatch, name, step, limit):
+    monkeypatch.setattr(blind, "CMA_DIVERGENCE_LIMIT", limit)
+    z = cma_input(name)
+    taps, output = reference_cma(z, step, limit)
+    result = cma_equalize(z, step)
+    assert result.taps.tobytes() == taps.tobytes()
+    assert result.output.tobytes() == output.tobytes()
+
+
+# Divergence at step 2, at step 3340 of 3981 after thousands of unscanned
+# steps, and at step 0 under a limit of 1.002, where every step is scanned.
+@pytest.mark.parametrize("name, step, limit", [
+    ("chain", 0.5, CMA_DIVERGENCE_LIMIT),
+    ("noise", 0.03, CMA_DIVERGENCE_LIMIT),
+    ("noise", 0.01, 1.002),
+])
+def test_cma_divergence_at_the_reference_step(monkeypatch, name, step, limit):
+    monkeypatch.setattr(blind, "CMA_DIVERGENCE_LIMIT", limit)
+    z = cma_input(name)
+    with pytest.raises(CmaDivergenceError) as expected:
+        reference_cma(z, step, limit)
+    with pytest.raises(CmaDivergenceError) as got:
+        cma_equalize(z, step)
+    assert str(got.value) == str(expected.value)
+    assert got.value.stage == "cma_equalize"
+
+
+# ------------------------------------------------------- failure by cause
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_blind_chain_rejects_non_finite_input(bad):
+    rec = clean_record(24, ModulationType.QPSK)
+    y = rec.y.copy()
+    y[500] = bad
+    with pytest.raises(NonFiniteInputError) as info:
+        blind_chain(y, n0=rec.n0)
+    assert info.value.stage == "input"
+
+
+def test_chain_errors_name_their_stage():
+    cases = [
+        (lambda: blind_chain(np.ones(255, dtype=np.complex128)), SignalTooShortError, "input"),
+        (lambda: band_segment(np.ones(255)), SignalTooShortError, "band_segment"),
+        (lambda: welch_psd(np.ones(63), 64), SignalTooShortError, "welch_psd"),
+        (lambda: fine_cfo(np.ones(255), 0.0), SignalTooShortError, "fine_cfo"),
+        (lambda: fine_symbol_rate(np.ones(300), 0.0), InvalidBandwidthError,
+         "fine_symbol_rate"),
+        (lambda: gardner_timing(np.ones(8), 8.0), SignalTooShortError, "gardner_timing"),
+        (lambda: cma_equalize(np.ones(40)), SignalTooShortError, "cma_equalize"),
+        (lambda: cma_equalize(np.zeros(100)), ZeroPowerSignalError, "cma_equalize"),
+        (lambda: blind_chain(complex_noise(make_rng(70), 1024), n0=1.0),
+         NoBandDetectedError, "band_segment"),
+    ]
+    for call, error, stage in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert info.value.stage == stage
+
+
+@st.composite
+def received_records(draw):
+    """Lengths 0-2048 at scales 1e-300-1e300: noise, band-limited noise,
+    tones and constants, some with a NaN or Inf sample."""
+    n = draw(st.one_of(st.integers(0, 2048), st.integers(256, 2048)))
+    rng = make_rng(draw(st.integers(0, 2**31 - 1)))
+    kind = draw(st.sampled_from(["noise", "band", "tone", "constant"]))
+    if kind == "tone":
+        y = np.exp(2j * np.pi * draw(st.floats(-0.5, 0.5)) * np.arange(n))
+    elif kind == "constant":
+        y = np.full(n, complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))))
+    else:
+        y = complex_noise(rng, n)
+        if kind == "band" and n:
+            y = lowpass(y, draw(st.floats(0.01, 0.3)))
+    y = y * 10.0 ** draw(st.integers(-300, 300))
+    bad = draw(st.sampled_from([None, None, None, np.nan, np.inf, -np.inf]))
+    if bad is not None and n:
+        y[draw(st.integers(0, n - 1))] = bad
+    return y
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(y=received_records(), n0=st.sampled_from([None, 1.0]))
+def test_blind_chain_property_finite_or_library_error(y, n0):
+    try:
+        estimates, output = blind_chain(y, n0=n0)
+    except BlindRxError as exc:
+        assert exc.stage is not None
+        if not np.isfinite(y).all() and y.size >= 256:
+            assert isinstance(exc, NonFiniteInputError)
+        return
+    assert np.isfinite([estimates.f0_hat, estimates.tau_hat, estimates.t0_hat]).all()
+    assert np.isfinite(estimates.eq_taps).all()
+    assert np.isfinite(output).all()

@@ -129,8 +129,23 @@ def test_estimate_blind_and_failure_recorded(tmp_path):
     assert len(lines) == 3
     assert lines[0]["status"] == "ok"
     assert lines[1]["status"] == "NoBandDetected"
+    assert lines[1]["stage"] == "band_segment"
     assert lines[2]["status"] == "ok"
     assert len(lines[0]["eq_taps"]) == 20
+
+
+def test_estimate_non_finite_record_fails_at_input(tmp_path):
+    spec = DatasetSpec(count=2, seed=5, n_r=1024, snr_levels_db=(20.0,),
+                       modulations=(ModulationType.BPSK,))
+    records = [generate_one(spec, 0), generate_one(spec, 1)]
+    records[1].y[100] = complex(np.nan, 0.0)
+    write_dataset(tmp_path / "ds", records, spec)
+    out = tmp_path / "est.jsonl"
+    assert run("estimate", "--dataset", str(tmp_path / "ds"), "--out", str(out)) == 0
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [l["status"] for l in lines] == ["ok", "NonFiniteInput"]
+    assert lines[1]["stage"] == "input"
+    assert "stage" not in lines[0]
 
 
 def test_estimate_deterministic(tmp_path, small_dataset):

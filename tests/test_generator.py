@@ -10,6 +10,7 @@ from blindrx.errors import (
 )
 from blindrx.generator import (
     DatasetSpec,
+    DatasetWriter,
     TxParams,
     add_awgn,
     apply_cfo_phase,
@@ -320,6 +321,24 @@ def test_version_mismatch_rejected(tmp_path):
     meta_path.write_text(meta_path.read_text().replace('"format_version":1', '"format_version":99'))
     with pytest.raises(FormatVersionMismatchError):
         read_dataset(tmp_path / "ds")
+
+
+def test_interrupted_write_leaves_no_meta(tmp_path):
+    spec = DatasetSpec(count=3, seed=15, n_r=256)
+    records = [generate_one(spec, i) for i in range(3)]
+    write_dataset(tmp_path / "ds", records, spec)
+    complete = (tmp_path / "ds" / "meta.json").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+        "meta.json", "y.iq", "z1.iq", "z2.iq"]
+    # a rewrite that fails after one record must not leave the old label
+    # table (or a new one) claiming records the IQ files no longer hold
+    with pytest.raises(RuntimeError):
+        with DatasetWriter(tmp_path / "ds", spec) as writer:
+            writer.append(records[0])
+            raise RuntimeError("interrupted")
+    assert not (tmp_path / "ds" / "meta.json").exists()
+    write_dataset(tmp_path / "ds", records, spec)
+    assert (tmp_path / "ds" / "meta.json").read_bytes() == complete
 
 
 def test_empty_dataset(tmp_path):
