@@ -18,8 +18,6 @@ from .generator import (
     TxGroundTruth,
     TxParams,
     add_awgn,
-    apply_cfo_phase,
-    apply_timing_and_rate,
     build_fading,
     generate_one,
     read_dataset,

@@ -209,7 +209,9 @@ def fine_cfo(z: np.ndarray, f0_coarse: float) -> float:
 
     Searches |sum_k z[k]^4 exp(-j*2*pi*a*k)| over 100 equally spaced
     cycle frequencies a in [4*f0_coarse - 0.001, 4*f0_coarse + 0.001],
-    endpoints included, and returns argmax / 4.
+    endpoints included, and returns argmax / 4. ``z`` is first scaled by
+    the power of two that brings max|z| into [0.5, 1), so z^4 neither
+    overflows nor underflows; the scale is exact and leaves the argmax as is.
     """
     z = np.asarray(z)
     if z.size < 256:
@@ -219,7 +221,8 @@ def fine_cfo(z: np.ndarray, f0_coarse: float) -> float:
         4.0 * f0_coarse + CFO_ALPHA_HALF_WINDOW,
         CFO_GRID_POINTS,
     )
-    best, _ = _line_search(z**4, grid)
+    _, exponent = np.frexp(np.abs(z).max())
+    best, _ = _line_search((z * 2.0**-exponent) ** 4, grid)
     return float(grid[best]) / 4.0
 
 

@@ -20,7 +20,6 @@ import functools
 import itertools
 import json
 import multiprocessing
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -41,7 +40,6 @@ from .generator import (
     record_from_meta,
 )
 
-WORKERS_ENV_VAR = "BLINDRX_WORKERS"
 DEFAULT_DECODE_MODS = (ModulationType.BPSK, ModulationType.QPSK)
 
 
@@ -50,14 +48,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(1)
-
-
-def _default_workers() -> int:
-    value = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _parse_mods(text: str | None, default) -> tuple[ModulationType, ...]:
@@ -279,9 +269,11 @@ def cmd_decode(args) -> int:
 def _load_eval_records(path) -> list[metrics.EvalRecord]:
     records = []
     with open(path) as fh:
-        for raw in fh:
-            payload = json.loads(raw)
-            records.append(metrics.EvalRecord(**payload))
+        for number, raw in enumerate(fh, start=1):
+            try:
+                records.append(metrics.EvalRecord(**json.loads(raw)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
     return records
 
 
@@ -363,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated SNR levels in dB, or 'continuous' (default)",
     )
     gen.add_argument("--mods", default=None, help="comma-separated modulation subset")
-    gen.add_argument("--workers", type=int, default=_default_workers())
+    gen.add_argument("--workers", type=int, default=1)
 
     est = sub.add_parser("estimate", help="run estimator chains over a dataset")
     est.add_argument("--dataset", required=True)
     est.add_argument("--out", required=True, help="estimates JSONL path")
     est.add_argument("--method", choices=("blind", "genie", "both"), default="blind")
     est.add_argument("--n0", choices=("known", "estimated"), default="known")
-    est.add_argument("--workers", type=int, default=_default_workers())
+    est.add_argument("--workers", type=int, default=1)
 
     dec = sub.add_parser("decode", help="recover symbols and score each record")
     dec.add_argument("--dataset", required=True)
@@ -386,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument(
         "--mods", default=None, help="modulations to decode (default bpsk,qpsk)"
     )
-    dec.add_argument("--workers", type=int, default=_default_workers())
+    dec.add_argument("--workers", type=int, default=1)
 
     rep = sub.add_parser("report", help="aggregate evaluation records into tables")
     rep.add_argument("--records", required=True, help="evaluation JSONL path")

@@ -14,7 +14,8 @@ fraction of a symbol period at which the first symbol peak occurs inside
 the received window. With that convention a receiver that skips
 ``round(t0 * P)`` samples of the P-per-symbol resampled stream lands
 exactly on symbol peaks, and the timing grid has exactly ``N_UP`` distinct
-values.
+values. :func:`timing_slice` is the one map from labels to the samples
+removed and the decimation that realize them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +63,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; (seed, stream) fully determines the draws."""
     key = ((int(seed) & _MASK64) << 64) | (int(stream) & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return make_rng(int(rng))
 
 
 @dataclass
@@ -120,15 +115,16 @@ class TxGroundTruth:
     z2: np.ndarray
     symbols: SymbolSequence
     n0: float
-    data_indices: np.ndarray = field(default=None, repr=False)
 
 
 def sample_params(rng, spec: DatasetSpec) -> tuple[TxParams, ModulationType]:
     """Draw one parameter set uniformly over the dataset ranges.
 
-    The draw order is part of the determinism contract; do not reorder.
+    The timing draws are quantized onto the label grid: tau to
+    ``N_UP / floor(N_UP / tau_draw)``, and t0 to the symbol-peak phase left
+    after removing ``round(t0_draw * N_UP)`` samples. The draw order is part
+    of the determinism contract; do not reorder.
     """
-    rng = _as_rng(rng)
     modulation = spec.modulations[int(rng.integers(len(spec.modulations)))]
     f0 = float(rng.uniform(*F0_RANGE))
     phi0 = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -140,15 +136,16 @@ def sample_params(rng, spec: DatasetSpec) -> tuple[TxParams, ModulationType]:
     else:
         snr_db = spec.snr_levels_db[int(rng.integers(len(spec.snr_levels_db)))]
 
-    _, _, tau_real, t0_real = _realize_timing(t0_draw, tau_nominal)
+    tau = N_UP / int(N_UP // tau_nominal)
+    t0 = ((N_UP - int(round(t0_draw * N_UP))) % N_UP) / N_UP
 
-    sigma = float(rng.uniform(0.0, tau_real))
+    sigma = float(rng.uniform(0.0, tau))
     channel = build_fading(sigma, rng)
     params = TxParams(
         f0=f0,
         phi0=phi0,
-        t0=t0_real,
-        tau=tau_real,
+        t0=t0,
+        tau=tau,
         beta=beta,
         snr_db=snr_db,
         sigma=sigma,
@@ -157,27 +154,23 @@ def sample_params(rng, spec: DatasetSpec) -> tuple[TxParams, ModulationType]:
     return params, modulation
 
 
-def _realize_timing(t0: float, tau_nominal: float) -> tuple[int, int, float, float]:
-    """(samples removed, decimation, realized tau, realized t0) of a draw."""
-    removed = int(round(t0 * N_UP))
-    decimation = int(N_UP // tau_nominal)
-    return removed, decimation, N_UP / decimation, ((N_UP - removed) % N_UP) / N_UP
+def timing_slice(tau: float, t0: float) -> tuple[int, int]:
+    """(samples removed, decimation) that realize the labels ``tau``, ``t0``.
 
-
-def apply_timing_and_rate(
-    shaped: np.ndarray, t0: float, tau_nominal: float
-) -> tuple[np.ndarray, float, float]:
-    """Drop ``round(t0 * N_UP)`` leading samples, then decimate.
-
-    Returns the decimated signal, the realized samples-per-symbol
-    ``N_UP / floor(N_UP / tau_nominal)``, and the realized timing label
-    (symbol-peak phase of the surviving stream).
+    The waveform at ``N_UP`` samples/symbol, with its leading samples
+    removed, is kept every ``decimation``-th sample. Labels must lie on the
+    grid: tau = N_UP / D for an integer D in [1, N_UP], and t0 a multiple of
+    1 / N_UP in [0, 1); anything else raises ValueError.
     """
-    removed, decimation, tau_real, t0_real = _realize_timing(t0, tau_nominal)
-    out = np.asarray(shaped)[removed::decimation]
-    if out.size == 0:
-        raise SignalTooShortError("no samples remain after timing removal")
-    return out, tau_real, t0_real
+    decimation = int(round(N_UP / tau)) if 1.0 <= tau <= N_UP else 0
+    if (
+        decimation == 0
+        or N_UP / decimation != tau
+        or not 0.0 <= t0 < 1.0
+        or t0 * N_UP % 1.0 != 0.0
+    ):
+        raise ValueError(f"tau {tau} / t0 {t0} is off the 1/{N_UP} grid")
+    return (N_UP - int(round(t0 * N_UP))) % N_UP, decimation
 
 
 def build_fading(sigma: float, rng) -> np.ndarray:
@@ -186,7 +179,6 @@ def build_fading(sigma: float, rng) -> np.ndarray:
     Tap values are i.i.d. circular complex Gaussians (Rayleigh magnitude,
     uniform phase); coincident delays add before normalization.
     """
-    rng = _as_rng(rng)
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     delays = [0, int(round(sigma / 2.0)), int(round(sigma))]
@@ -195,11 +187,6 @@ def build_fading(sigma: float, rng) -> np.ndarray:
     for delay, gain in zip(delays, gains):
         taps[delay] += gain
     return taps / np.sqrt(np.sum(np.abs(taps) ** 2))
-
-
-def apply_cfo_phase(x: np.ndarray, f0: float, phi0: float) -> np.ndarray:
-    """Rotate by the carrier offset: out[k] = x[k] * exp(j*(2*pi*f0*k + phi0))."""
-    return frequency_shift(x, f0, phi0)
 
 
 def add_awgn(x: np.ndarray, snr_db: float | None, rng) -> tuple[np.ndarray, float]:
@@ -216,7 +203,6 @@ def add_awgn(x: np.ndarray, snr_db: float | None, rng) -> tuple[np.ndarray, floa
     if power <= 0.0:
         raise ZeroPowerSignalError("cannot set an SNR for a zero-power signal")
     n0 = power / (10.0 ** (snr_db / 10.0))
-    rng = _as_rng(rng)
     noise = np.sqrt(n0 / 2.0) * (
         rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
     )
@@ -278,10 +264,7 @@ def generate_one(
     elif modulation is None:
         raise ValueError("explicit params require an explicit modulation")
 
-    decimation = max(int(round(N_UP / params.tau)), 1)
-    if N_UP / decimation != params.tau or params.t0 * N_UP % 1.0 != 0.0:
-        raise ValueError(f"tau {params.tau} / t0 {params.t0} is off the 1/{N_UP} grid")
-    removed = (N_UP - int(round(params.t0 * N_UP))) % N_UP
+    removed, decimation = timing_slice(params.tau, params.t0)
     n_symbols_label = spec.n_r // math.ceil(params.tau)
     n_symbols_gen = math.ceil(spec.n_r * decimation / N_UP) + 6
 
@@ -300,7 +283,7 @@ def generate_one(
     z1 = np.convolve(stream, params.channel, mode="full")[
         history : history + spec.n_r
     ]
-    y_clean = apply_cfo_phase(z1, params.f0, params.phi0)
+    y_clean = frequency_shift(z1, params.f0, params.phi0)
     y, n0 = add_awgn(y_clean, params.snr_db, rng)
 
     first_symbol = math.ceil(removed / N_UP)
@@ -315,7 +298,6 @@ def generate_one(
         z2=z2,
         symbols=symbols,
         n0=n0,
-        data_indices=indices,
     )
 
 

@@ -15,6 +15,7 @@ from .blind import TIMING_SPS, BandEstimate, EstimateSet, GARDNER_TAU_LIMITS
 from .dsp import frequency_shift, interpolate_at, lowpass
 from .errors import (
     EmptyOverlapError,
+    NonFiniteInputError,
     NonLinearModulationError,
     SignalTooShortError,
 )
@@ -67,7 +68,10 @@ def genie_chain(truth: TxGroundTruth) -> tuple[EstimateSet, np.ndarray]:
     filtered to its known bandwidth (skipped in the noise-free case, where
     the optimal noise filter is allpass), and the true channel is inverted
     with the MMSE equalizer. True timing labels are passed downstream.
+    A record holding a NaN or Inf sample fails at stage ``input``.
     """
+    if not np.isfinite(truth.y).all():
+        raise NonFiniteInputError("received record holds NaN or Inf samples")
     p = truth.params
     z = frequency_shift(truth.y, -p.f0, -p.phi0)
     bandwidth = (1.0 + p.beta) / (2.0 * p.tau)

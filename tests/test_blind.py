@@ -188,6 +188,17 @@ def test_fine_cfo_equivariance():
     assert abs((shifted - delta) - base) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e-80])
+def test_blind_chain_f0_is_scale_invariant(scale):
+    # at 1e80 an unscaled z**4 overflows and the CFO search lands on its
+    # window edge (f0_hat 0.001703125 on this QPSK record)
+    rec = generate_one(DatasetSpec(count=20, seed=5, n_r=1024), 13)
+    assert rec.modulation is ModulationType.QPSK
+    base, _ = blind_chain(rec.y, n0=rec.n0)
+    scaled, _ = blind_chain(rec.y * scale, n0=rec.n0 * scale**2)
+    assert abs(scaled.f0_hat - base.f0_hat) < 1e-12
+
+
 # -------------------------------------------------------------- fine rate
 
 

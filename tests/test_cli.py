@@ -148,6 +148,27 @@ def test_estimate_non_finite_record_fails_at_input(tmp_path):
     assert "stage" not in lines[0]
 
 
+def test_non_finite_record_fails_both_methods_at_input(tmp_path):
+    spec = DatasetSpec(count=2, seed=5, n_r=1024, snr_levels_db=(20.0,),
+                       modulations=(ModulationType.BPSK,))
+    records = [generate_one(spec, 0), generate_one(spec, 1)]
+    records[1].y[100] = complex(np.nan, 0.0)
+    write_dataset(tmp_path / "ds", records, spec)
+    est, out = tmp_path / "est.jsonl", tmp_path / "eval.jsonl"
+    assert run("estimate", "--dataset", str(tmp_path / "ds"), "--out", str(est),
+               "--method", "both") == 0
+    lines = [json.loads(l) for l in est.read_text().splitlines()]
+    assert [(l["method"], l["status"]) for l in lines[2:]] == [
+        ("blind", "NonFiniteInput"), ("genie", "NonFiniteInput")]
+    assert lines[3]["stage"] == "input"
+    assert run("decode", "--dataset", str(tmp_path / "ds"), "--estimates", str(est),
+               "--out", str(out), "--method", "both") == 0
+    text = out.read_text()
+    assert "NaN" not in text
+    assert [json.loads(l)["status"] for l in text.splitlines()[2:]] == [
+        "NonFiniteInput", "NonFiniteInput"]
+
+
 def test_estimate_deterministic(tmp_path, small_dataset):
     outs = []
     for name in ("e1.jsonl", "e2.jsonl"):
@@ -299,6 +320,16 @@ def test_report_mixed_methods_and_idempotent(tmp_path, small_dataset):
     payload = json.loads((out_a / "report.json").read_text())
     methods = {row["method"] for row in payload["mae"]}
     assert methods == {"blind", "genie"}
+
+
+def test_report_malformed_line_is_config_error(tmp_path, capsys):
+    eval_path = tmp_path / "eval.jsonl"
+    eval_path.write_text('{"signal_id":0,"bogus":1}\n')
+    assert run("report", "--records", str(eval_path),
+               "--out", str(tmp_path / "report")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"{eval_path} line 1" in err
 
 
 def test_report_empty_records(tmp_path):

@@ -3,23 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from blindrx.dsp import frequency_shift
 from blindrx.errors import (
     FormatVersionMismatchError,
     TruncatedFileError,
     ZeroPowerSignalError,
 )
 from blindrx.generator import (
+    N_UP,
     DatasetSpec,
     DatasetWriter,
     TxParams,
     add_awgn,
-    apply_cfo_phase,
-    apply_timing_and_rate,
     build_fading,
     generate_one,
     make_rng,
     read_dataset,
     sample_params,
+    timing_slice,
     write_dataset,
 )
 from blindrx.modulation import ModulationType
@@ -110,31 +111,85 @@ def test_discrete_snr_levels():
 # ------------------------------------------------------------ timing/rate
 
 
+class ScriptedUniforms:
+    """A generator whose uniform draws are scripted fractions of their range.
+
+    ``sample_params`` draws uniforms in the order f0, phi0, t0, tau, snr
+    (continuous SNR only), sigma; integer and normal draws come from a real
+    stream.
+    """
+
+    def __init__(self, fractions):
+        self._fractions = iter(fractions)
+        self._rng = make_rng(0)
+
+    def uniform(self, low, high):
+        return low + next(self._fractions) * (high - low)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def sample_timing(t0_draw, tau_draw):
+    """(tau, t0) labels that sample_params gives for these timing draws."""
+    fractions = [0.5, 0.5, t0_draw, (tau_draw - 4.0) / 12.0, 0.5, 0.5]
+    params, _ = sample_params(ScriptedUniforms(fractions), DatasetSpec(count=1))
+    return params.tau, params.t0
+
+
+def reference_timing_slice(tau, t0):
+    """The label -> (removed, decimation) map generate_one inlined before timing_slice."""
+    decimation = max(int(round(N_UP / tau)), 1)
+    if N_UP / decimation != tau or t0 * N_UP % 1.0 != 0.0:
+        raise ValueError(f"tau {tau} / t0 {t0} is off the 1/{N_UP} grid")
+    return (N_UP - int(round(t0 * N_UP))) % N_UP, decimation
+
+
 def test_timing_zero_removes_nothing():
-    x = np.arange(640, dtype=np.complex128)
-    out, tau, t0 = apply_timing_and_rate(x, 0.0, 8.0)
-    assert out[0] == x[0]
-    assert tau == 8.0
-    assert t0 == 0.0
+    assert timing_slice(8.0, 0.0) == (0, 8)
 
 
 def test_timing_half_symbol_removes_32():
-    x = np.arange(640, dtype=np.complex128)
-    out, _, t0 = apply_timing_and_rate(x, 0.5, 8.0)
-    assert out[0] == x[32]
-    assert t0 == 0.5
+    assert timing_slice(8.0, 0.5) == (32, 8)
 
 
 def test_rate_realization():
-    x = np.zeros(2048, dtype=np.complex128)
-    _, tau, _ = apply_timing_and_rate(x, 0.0, 7.3)
-    assert tau == 8.0  # floor(64 / 7.3) = 8
+    tau, _ = sample_timing(0.0, 7.3)
+    assert tau == 8.0  # 64 / floor(64 / 7.3)
+    assert timing_slice(tau, 0.0) == (0, 8)
 
 
-@pytest.mark.parametrize("labels", [{"tau": 7.3}, {"t0": 0.3}])
+def test_timing_draw_of_a_whole_symbol_is_label_zero():
+    # a t0 draw that rounds to 64 removed samples is the label 0, which
+    # removes none
+    tau, t0 = sample_timing(0.999, 11.0)
+    assert (tau, t0) == (64 / 5, 0.0)
+    assert timing_slice(tau, t0) == (0, 5)
+
+
+def test_timing_slice_matches_generate_one_reference_on_every_label():
+    for decimation in range(4, 17):
+        tau = N_UP / decimation
+        for k in range(N_UP):
+            t0 = k / N_UP
+            removed, got_decimation = timing_slice(tau, t0)
+            assert (removed, got_decimation) == reference_timing_slice(tau, t0)
+            # label -> slice -> label is the identity
+            assert N_UP / got_decimation == tau
+            assert ((N_UP - removed) % N_UP) / N_UP == t0
+
+
+@pytest.mark.parametrize("labels", [
+    {"tau": 7.3}, {"t0": 0.3}, {"t0": 1.0}, {"t0": -0.25}, {"t0": float("nan")},
+    {"tau": 0.0}, {"tau": 0.5}, {"tau": float("nan")}, {"tau": float("inf")},
+])
 def test_explicit_labels_must_be_realizable(labels):
     # tau = 7.3 would be realized as 64 / round(64 / 7.3) = 7.11 under a
-    # 7.3 label; t0 = 0.3 is not on the 1/64 timing grid.
+    # 7.3 label; t0 = 0.3 is not on the 1/64 timing grid, and t0 must lie
+    # in [0, 1) and tau in [1, 64].
     spec = DatasetSpec(count=1, seed=15, n_r=512)
     with pytest.raises(ValueError):
         generate_one(spec, 0, params=identity_params(**labels),
@@ -169,13 +224,13 @@ def test_fading_unit_energy():
 
 def test_cfo_identity_and_negation():
     x = (np.arange(32) + 1.0).astype(np.complex128)
-    assert np.allclose(apply_cfo_phase(x, 0.0, 0.0), x)
-    assert np.allclose(apply_cfo_phase(x, 0.0, np.pi), -x)
+    assert np.allclose(frequency_shift(x, 0.0, 0.0), x)
+    assert np.allclose(frequency_shift(x, 0.0, np.pi), -x)
 
 
 def test_cfo_pure_tone_peak():
     x = np.ones(4096, dtype=np.complex128)
-    out = apply_cfo_phase(x, 0.01, 0.0)
+    out = frequency_shift(x, 0.01, 0.0)
     spectrum = np.abs(np.fft.fft(out))
     peak_freq = np.fft.fftfreq(out.size)[np.argmax(spectrum)]
     assert abs(peak_freq - 0.01) < 1.0 / out.size
@@ -184,7 +239,7 @@ def test_cfo_pure_tone_peak():
 def test_cfo_preserves_magnitude():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    out = apply_cfo_phase(x, 0.0037, 1.1)
+    out = frequency_shift(x, 0.0037, 1.1)
     np.testing.assert_allclose(np.abs(out), np.abs(x), rtol=1e-14, atol=0)
 
 

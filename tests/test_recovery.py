@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blindrx.errors import EmptyOverlapError, NonLinearModulationError
+from blindrx.errors import EmptyOverlapError, NonFiniteInputError, NonLinearModulationError
 from blindrx.generator import DatasetSpec, TxParams, build_fading, generate_one, make_rng
 from blindrx.modulation import ModulationType, SymbolSequence, constellation, modulate_linear
 from blindrx.recovery import (
@@ -104,6 +104,15 @@ def test_genie_chain_noise_free_identity():
         assert estimates.tau_hat == rec.params.tau
         assert estimates.t0_hat == rec.params.t0
         assert recovered.size == rec.y.size
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_genie_chain_rejects_non_finite_input(bad):
+    rec = clean_record(3, modulation=ModulationType.QPSK)
+    rec.y[200] = bad
+    with pytest.raises(NonFiniteInputError) as info:
+        genie_chain(rec)
+    assert info.value.stage == "input"
 
 
 # ---------------------------------------------------------- symbol resample
