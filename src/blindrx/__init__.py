@@ -36,9 +36,9 @@ from .modulation import (
     ModulationType,
     SymbolSequence,
     constellation,
+    map_symbols,
     modulate_cpfsk,
     modulate_gmsk,
-    modulate_linear,
     rrc_taps,
 )
 from .recovery import (

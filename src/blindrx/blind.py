@@ -9,7 +9,7 @@ constant-modulus equalizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,6 +84,41 @@ class EstimateSet:
     band: BandEstimate | None = None
     diagnostics: dict = field(default_factory=dict)
     residual_cfo: float = 0.0
+
+    def to_line(self) -> dict:
+        """The fields of an ``est.jsonl`` line, blind or genie, ready for JSON.
+
+        A missing band or tap set is null; :meth:`from_line` reads it back.
+        """
+        line = asdict(self)
+        if self.band is not None:
+            line["band"].update(center=self.band.center, halfwidth=self.band.halfwidth)
+        if self.eq_taps is not None:
+            line["eq_taps"] = [[float(t.real), float(t.imag)] for t in self.eq_taps]
+        return line
+
+    @classmethod
+    def from_line(cls, line: dict) -> "EstimateSet":
+        """The estimates of a line written from :meth:`to_line`."""
+        values = {f.name: line[f.name] for f in fields(cls)}
+        band, taps = values["band"], values["eq_taps"]
+        if band is not None:
+            stages = tuple(map(tuple, band["stages"]))
+            values["band"] = BandEstimate(band["b1"], band["b2"], stages)
+        if taps is not None:
+            values["eq_taps"] = np.array([complex(re, im) for re, im in taps])
+        return cls(**values)
+
+
+def _unit_scale(z: np.ndarray) -> float:
+    """The power of two that brings the largest |re| or |im| of ``z`` into [0.5, 1).
+
+    Squares and fourth powers of the scaled samples cannot overflow, and
+    the scale is exact, so it moves no argmax and no ratio. A zero input
+    keeps scale 1; the exponent stops at 1022 so the scale stays finite.
+    """
+    _, exponent = np.frexp(max(np.abs(z.real).max(), np.abs(z.imag).max()))
+    return 2.0 ** min(-int(exponent), 1022)
 
 
 def fft_bins(fft_size: int) -> np.ndarray:
@@ -209,9 +244,9 @@ def fine_cfo(z: np.ndarray, f0_coarse: float) -> float:
 
     Searches |sum_k z[k]^4 exp(-j*2*pi*a*k)| over 100 equally spaced
     cycle frequencies a in [4*f0_coarse - 0.001, 4*f0_coarse + 0.001],
-    endpoints included, and returns argmax / 4. ``z`` is first scaled by
-    the power of two that brings max|z| into [0.5, 1), so z^4 neither
-    overflows nor underflows; the scale is exact and leaves the argmax as is.
+    endpoints included, and returns argmax / 4. ``z`` is first brought to
+    unit scale (see ``_unit_scale``), so z^4 neither overflows nor
+    underflows.
     """
     z = np.asarray(z)
     if z.size < 256:
@@ -221,8 +256,7 @@ def fine_cfo(z: np.ndarray, f0_coarse: float) -> float:
         4.0 * f0_coarse + CFO_ALPHA_HALF_WINDOW,
         CFO_GRID_POINTS,
     )
-    _, exponent = np.frexp(np.abs(z).max())
-    best, _ = _line_search((z * 2.0**-exponent) ** 4, grid)
+    best, _ = _line_search((z * _unit_scale(z)) ** 4, grid)
     return float(grid[best]) / 4.0
 
 
@@ -360,12 +394,20 @@ def blind_chain(
     Stage failures raise library errors carrying a ``stage`` attribute;
     a record that is too short or holds a NaN or Inf sample fails at stage
     ``input``.
+
+    The record is first brought to unit scale (see ``_unit_scale``), and n0
+    by the square of that scale; every stage is invariant to that exact
+    scale, so the answers are those of the record as given.
     """
     y = np.asarray(y)
     if y.size < 256:
         raise SignalTooShortError("blind chain needs >= 256 samples", stage="input")
     if not np.isfinite(y).all():
         raise NonFiniteInputError("received record holds NaN or Inf samples")
+    scale = _unit_scale(y)
+    y = y * scale
+    if n0 is not None:
+        n0 = float(n0) * scale * scale
     band, x1 = band_segment(y, n0)
     residual = fine_cfo(x1, 0.0)
     x2 = frequency_shift(x1, -residual)
@@ -396,9 +438,11 @@ def blind_chain(
 def equalized_output(y: np.ndarray, estimates: EstimateSet) -> np.ndarray:
     """Rebuild :func:`blind_chain`'s output, bit for bit, from its estimates.
 
-    Replays the segmentation stages, the residual CFO and the final CMA taps.
+    Replays the unit scaling, the segmentation stages, the residual CFO
+    and the final CMA taps.
     """
     x = np.asarray(y)
+    x = x * _unit_scale(x)
     for center, halfwidth in estimates.band.stages:
         x = _recenter(x, center, halfwidth)
     x = frequency_shift(x, -estimates.residual_cfo)

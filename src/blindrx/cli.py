@@ -24,8 +24,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import blind, metrics, recovery
 from .errors import BlindRxError
 from .generator import (
@@ -104,54 +102,19 @@ def cmd_generate(args) -> int:
 # ----------------------------------------------------------------- estimate
 
 
-def _band_payload(band: blind.BandEstimate | None):
-    if band is None:
-        return None
-    return {**asdict(band), "center": band.center, "halfwidth": band.halfwidth}
-
-
-def _taps_payload(taps: np.ndarray | None):
-    if taps is None:
-        return None
-    return [[float(t.real), float(t.imag)] for t in taps]
-
-
-def _estimates_from_line(line: dict) -> blind.EstimateSet:
-    """The blind estimates of an ``ok`` line written by ``_estimate_worker``."""
-    band = line["band"]
-    stages = tuple(map(tuple, band["stages"]))
-    return blind.EstimateSet(
-        f0_hat=line["f0_hat"],
-        tau_hat=line["tau_hat"],
-        t0_hat=line["t0_hat"],
-        eq_taps=np.array([complex(re, im) for re, im in line["eq_taps"]]),
-        band=blind.BandEstimate(band["b1"], band["b2"], stages),
-        residual_cfo=line["residual_cfo"],
-    )
-
-
 def _estimate_worker(args) -> list[dict]:
     index, rec_meta, y, methods, stamp = args
+    record = record_from_meta(rec_meta, y)
     lines = []
     for method in methods:
         line = {"signal_id": index, "method": method, **stamp}
         try:
             if method == "genie":
-                record = record_from_meta(rec_meta, y)
                 estimates, _ = recovery.genie_chain(record)
             else:
-                n0 = rec_meta["n0"] if stamp["n0_policy"] == "known" else None
+                n0 = record.n0 if stamp["n0_policy"] == "known" else None
                 estimates, _ = blind.blind_chain(y, n0=n0)
-            line.update(
-                status="ok",
-                f0_hat=estimates.f0_hat,
-                tau_hat=estimates.tau_hat,
-                t0_hat=estimates.t0_hat,
-                band=_band_payload(estimates.band),
-                eq_taps=_taps_payload(estimates.eq_taps),
-                diagnostics=estimates.diagnostics,
-                residual_cfo=estimates.residual_cfo,
-            )
+            line.update(status="ok", **estimates.to_line())
         except BlindRxError as exc:
             line.update(status=_status_name(exc), detail=str(exc), stage=exc.stage)
         lines.append(line)
@@ -189,8 +152,8 @@ def _decode_worker(args) -> list[dict]:
     for method, line in est_lines.items():
         scores = metrics.EvalRecord(
             signal_id=index,
-            modulation=rec_meta["modulation"],
-            snr_db=rec_meta["snr_db"],
+            modulation=record.modulation.value,
+            snr_db=record.params.snr_db,
             method=method,
             abs_f0_err=metrics.FAILED_F0_ERROR,
             abs_tau_err=metrics.FAILED_TAU_ERROR,
@@ -203,7 +166,7 @@ def _decode_worker(args) -> list[dict]:
         if method == "genie":
             estimates, recovered = recovery.genie_chain(record)
         else:
-            estimates = _estimates_from_line(line)
+            estimates = blind.EstimateSet.from_line(line)
             recovered = blind.equalized_output(y, estimates)
         scores.abs_f0_err, scores.abs_tau_err, scores.circ_t0_err = (
             metrics.estimation_errors(estimates, record.params)
@@ -277,10 +240,28 @@ def _load_eval_records(path) -> list[metrics.EvalRecord]:
     return records
 
 
-def _fmt(value) -> str:
+MAE_COLUMNS = (
+    "method", "snr_db", "count", "mae_f0", "mae_tau", "mae_t0", "mean_recon_loss"
+)
+PER_COLUMNS = ("method", "modulation", "snr_db", "count", "per")
+SER_CDF_COLUMNS = ("method", "modulation", "snr_db", "ser", "cumulative_fraction")
+
+
+def _cell(value):
+    """CSV text of one value: strings and counts as they are, floats by repr."""
     if value is None:
         return ""
+    if isinstance(value, (str, int)):
+        return value
     return repr(float(value))
+
+
+def _write_csv(path, columns, rows) -> None:
+    """One report table; each row lists its values in ``columns`` order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_cell(value) for value in row] for row in rows)
 
 
 def cmd_report(args) -> int:
@@ -291,40 +272,15 @@ def cmd_report(args) -> int:
     if not records:
         print("warning: no evaluation records; emitting empty tables", file=sys.stderr)
     rows = metrics.aggregate(records, buckets) if records else []
-
-    with open(out / "mae_vs_snr.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "snr_db", "count", "mae_f0", "mae_tau", "mae_t0", "mean_recon_loss"]
-        )
-        for row in rows:
-            if row.modulation != "*":
-                continue
-            writer.writerow(
-                [row.method, _fmt(row.snr_db), row.count, _fmt(row.mae_f0),
-                 _fmt(row.mae_tau), _fmt(row.mae_t0), _fmt(row.mean_recon_loss)]
-            )
-
     decodable = [r for r in records if r.status != "not_decoded"]
     per_rows = metrics.aggregate(decodable, buckets) if decodable else []
-    with open(out / "per_vs_snr.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "modulation", "snr_db", "count", "per"])
-        for row in per_rows:
-            if row.modulation == "*":
-                continue
-            writer.writerow(
-                [row.method, row.modulation, _fmt(row.snr_db), row.count, _fmt(row.per)]
-            )
 
-    with open(out / "ser_cdf.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "modulation", "snr_db", "ser", "cumulative_fraction"])
-        for row in per_rows:
-            for value, fraction in row.ser_cdf:
-                writer.writerow(
-                    [row.method, row.modulation, _fmt(row.snr_db), _fmt(value), _fmt(fraction)]
-                )
+    mae = ([getattr(r, c) for c in MAE_COLUMNS] for r in rows if r.modulation == "*")
+    per = ([getattr(r, c) for c in PER_COLUMNS] for r in per_rows if r.modulation != "*")
+    cdf = ([r.method, r.modulation, r.snr_db, *point] for r in per_rows for point in r.ser_cdf)
+    _write_csv(out / "mae_vs_snr.csv", MAE_COLUMNS, mae)
+    _write_csv(out / "per_vs_snr.csv", PER_COLUMNS, per)
+    _write_csv(out / "ser_cdf.csv", SER_CDF_COLUMNS, cdf)
 
     bundle = {
         "snr_buckets_db": list(buckets),

@@ -24,7 +24,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from .modulation import (
     ModulationType,
     SymbolSequence,
     constellation,
+    map_symbols,
     modulate_cpfsk,
     modulate_gmsk,
     rrc_taps,
@@ -211,35 +212,30 @@ def add_awgn(x: np.ndarray, snr_db: float | None, rng) -> tuple[np.ndarray, floa
 
 def _shaped_upsampled(
     modulation: ModulationType, rng: np.random.Generator, n_symbols: int, beta: float
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Modulate ``n_symbols`` at N_UP samples/symbol.
 
-    Returns (waveform, origin, indices, values) where ``origin`` is the
-    upsampled index of symbol 0's nominal sampling instant.
+    Returns (waveform, origin, indices) where ``origin`` is the upsampled
+    index of symbol 0's nominal sampling instant.
     """
     if modulation.is_linear:
-        points = constellation(modulation)
-        indices = rng.integers(points.size, size=n_symbols)
-        values = points[indices]
+        indices = rng.integers(constellation(modulation).size, size=n_symbols)
         upsampled = np.zeros(n_symbols * N_UP, dtype=np.complex128)
-        upsampled[::N_UP] = values
+        upsampled[::N_UP] = map_symbols(modulation, indices).values
         taps = rrc_taps(beta, RRC_SPAN_SYMBOLS, N_UP)
         # Unit peak-sample gain so symbol-instant samples sit on the
         # constellation (up to the pulse's own symbol-spaced tails).
         taps = taps / taps.max()
         shaped = sp_signal.fftconvolve(upsampled, taps, mode="full")
         origin = RRC_SPAN_SYMBOLS * N_UP // 2
-        return shaped, origin, indices, values
+        return shaped, origin, indices
 
     bits = rng.integers(2, size=n_symbols + _CPM_WARMUP_SYMBOLS)
     if modulation is ModulationType.GMSK:
         shaped = modulate_gmsk(bits, N_UP)
     else:
         shaped = modulate_cpfsk(bits, N_UP)
-    origin = _CPM_WARMUP_SYMBOLS * N_UP
-    indices = bits[_CPM_WARMUP_SYMBOLS:]
-    values = (2.0 * indices - 1.0).astype(np.complex128)
-    return shaped, origin, indices, values
+    return shaped, _CPM_WARMUP_SYMBOLS * N_UP, bits[_CPM_WARMUP_SYMBOLS:]
 
 
 def generate_one(
@@ -268,7 +264,7 @@ def generate_one(
     n_symbols_label = spec.n_r // math.ceil(params.tau)
     n_symbols_gen = math.ceil(spec.n_r * decimation / N_UP) + 6
 
-    shaped, origin, indices, values = _shaped_upsampled(
+    shaped, origin, indices = _shaped_upsampled(
         modulation, rng, n_symbols_gen, params.beta
     )
 
@@ -288,7 +284,7 @@ def generate_one(
 
     first_symbol = math.ceil(removed / N_UP)
     label_slice = slice(first_symbol, first_symbol + n_symbols_label)
-    symbols = SymbolSequence(indices=indices[label_slice], values=values[label_slice])
+    symbols = map_symbols(modulation, indices[label_slice])
 
     return TxGroundTruth(
         params=params,
@@ -301,48 +297,36 @@ def generate_one(
     )
 
 
+# The label table stores every TxParams field under its own name; the
+# channel is written as [re, im] pairs.
+_SCALAR_PARAMS = tuple(f.name for f in fields(TxParams) if f.name != "channel")
+
+
 def _record_meta(record: TxGroundTruth) -> dict:
     p = record.params
     return {
-        "modulation": record.modulation.value,
-        "f0": p.f0,
-        "phi0": p.phi0,
-        "t0": p.t0,
-        "tau": p.tau,
-        "beta": p.beta,
-        "sigma": p.sigma,
-        "snr_db": p.snr_db,
-        "n0": record.n0,
+        **{name: getattr(p, name) for name in _SCALAR_PARAMS},
         "channel": [[float(c.real), float(c.imag)] for c in p.channel],
+        "modulation": record.modulation.value,
+        "n0": record.n0,
         "symbol_indices": [int(i) for i in record.symbols.indices],
     }
 
 
 def record_from_meta(meta: dict, y, z1=None, z2=None) -> TxGroundTruth:
+    """Rebuild one record from its label-table entry and its IQ arrays."""
     modulation = ModulationType.from_name(meta["modulation"])
-    channel = np.array([complex(re, im) for re, im in meta["channel"]])
     params = TxParams(
-        f0=meta["f0"],
-        phi0=meta["phi0"],
-        t0=meta["t0"],
-        tau=meta["tau"],
-        beta=meta["beta"],
-        snr_db=meta["snr_db"],
-        sigma=meta["sigma"],
-        channel=channel,
+        **{name: meta[name] for name in _SCALAR_PARAMS},
+        channel=np.array([complex(re, im) for re, im in meta["channel"]]),
     )
-    indices = np.asarray(meta["symbol_indices"], dtype=np.int64)
-    if modulation.is_linear:
-        values = constellation(modulation)[indices]
-    else:
-        values = (2.0 * indices - 1.0).astype(np.complex128)
     return TxGroundTruth(
         params=params,
         modulation=modulation,
         y=y,
         z1=z1,
         z2=z2,
-        symbols=SymbolSequence(indices=indices, values=values),
+        symbols=map_symbols(modulation, meta["symbol_indices"]),
         n0=meta["n0"],
     )
 
@@ -359,20 +343,24 @@ class DatasetWriter:
     files it described. An interrupted run leaves no label table.
     """
 
-    def __init__(self, path, spec: DatasetSpec | None = None):
+    def __init__(self, path, spec: DatasetSpec):
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.spec = spec
         self._metas: list[dict] = []
-        self._n_r: int | None = spec.n_r if spec else None
         (self.path / "meta.json").unlink(missing_ok=True)
         self._handles = [open(self.path / name, "wb") for name in _IQ_FILES]
 
     def append(self, record: TxGroundTruth) -> None:
-        if self._n_r is None:
-            self._n_r = record.y.size
-        for fh, attr in zip(self._handles, ("y", "z1", "z2")):
-            samples = np.ascontiguousarray(getattr(record, attr), dtype="<c8")
+        """Write one record; each of y, z1 and z2 must hold ``spec.n_r`` samples."""
+        streams = [
+            np.ascontiguousarray(getattr(record, attr), dtype="<c8")
+            for attr in ("y", "z1", "z2")
+        ]
+        sizes = [samples.size for samples in streams]
+        if sizes != [self.spec.n_r] * 3:
+            raise ValueError(f"record sizes {sizes} != spec n_r {self.spec.n_r}")
+        for fh, samples in zip(self._handles, streams):
             fh.write(samples.tobytes())
         self._metas.append(_record_meta(record))
 
@@ -381,17 +369,10 @@ class DatasetWriter:
             fh.close()
         meta = {
             "format_version": DATASET_FORMAT_VERSION,
-            "n_r": int(self._n_r or 0),
+            "n_r": self.spec.n_r,
             "count": len(self._metas),
-            "spec": None
-            if self.spec is None
-            else {
-                "count": self.spec.count,
-                "seed": self.spec.seed,
-                "n_r": self.spec.n_r,
-                "snr_levels_db": list(self.spec.snr_levels_db)
-                if self.spec.snr_levels_db is not None
-                else None,
+            "spec": {
+                **asdict(self.spec),
                 "modulations": [m.value for m in self.spec.modulations],
             },
             "records": self._metas,
@@ -412,7 +393,7 @@ class DatasetWriter:
                 fh.close()
 
 
-def write_dataset(path, records, spec: DatasetSpec | None = None) -> None:
+def write_dataset(path, records, spec: DatasetSpec) -> None:
     """Write records to a dataset directory (meta.json + raw IQ streams).
 
     IQ payloads are interleaved little-endian float32 I/Q pairs, one

@@ -8,7 +8,7 @@ error rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,6 +38,17 @@ class EvalRecord:
     recon_loss: float | None = None
     ser: float | None = None
     status: str = "ok"
+
+    def __post_init__(self) -> None:
+        # each value must match its annotation: a float field also takes an
+        # int, and only the "| None" fields take None
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = {"int": int, "str": str}.get(f.type, (int, float))
+            if value is None and f.type.endswith("| None"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -128,6 +139,10 @@ def _sort_key(r: EvalRecord):
     )
 
 
+def _mean(values) -> float | None:
+    return float(np.mean(values)) if values else None
+
+
 def aggregate(records, snr_buckets) -> list[AggregateRow]:
     """Group records by (method, SNR bucket, modulation) and reduce.
 
@@ -153,24 +168,7 @@ def aggregate(records, snr_buckets) -> list[AggregateRow]:
                 members = sorted(
                     groups.get((method, bucket, modulation), []), key=_sort_key
                 )
-                if not members:
-                    rows.append(
-                        AggregateRow(
-                            method=method,
-                            snr_db=bucket,
-                            modulation=modulation,
-                            count=0,
-                            mae_f0=None,
-                            mae_tau=None,
-                            mae_t0=None,
-                            mean_recon_loss=None,
-                            per=None,
-                        )
-                    )
-                    continue
-                losses = [
-                    r.recon_loss for r in members if r.recon_loss is not None
-                ]
+                losses = [r.recon_loss for r in members if r.recon_loss is not None]
                 sers = [r.ser for r in members if r.ser is not None]
                 rows.append(
                     AggregateRow(
@@ -178,11 +176,11 @@ def aggregate(records, snr_buckets) -> list[AggregateRow]:
                         snr_db=bucket,
                         modulation=modulation,
                         count=len(members),
-                        mae_f0=float(np.mean([r.abs_f0_err for r in members])),
-                        mae_tau=float(np.mean([r.abs_tau_err for r in members])),
-                        mae_t0=float(np.mean([r.circ_t0_err for r in members])),
-                        mean_recon_loss=float(np.mean(losses)) if losses else None,
-                        per=per(members),
+                        mae_f0=_mean([r.abs_f0_err for r in members]),
+                        mae_tau=_mean([r.abs_tau_err for r in members]),
+                        mae_t0=_mean([r.circ_t0_err for r in members]),
+                        mean_recon_loss=_mean(losses),
+                        per=per(members) if members else None,
                         ser_cdf=ser_cdf(sers) if sers else [],
                     )
                 )

@@ -214,9 +214,16 @@ def rrc_taps(beta: float, span_symbols: int, samples_per_symbol: int) -> np.ndar
     return taps / np.sqrt(np.sum(taps**2))
 
 
-def modulate_linear(m: ModulationType, indices) -> SymbolSequence:
-    """Map integer indices through the constellation of ``m``."""
-    points = constellation(m)
+_NRZ_LEVELS = np.array([-1.0 + 0.0j, 1.0 + 0.0j])
+
+
+def map_symbols(m: ModulationType, indices) -> SymbolSequence:
+    """Pair symbol indices with their points.
+
+    A linear type maps through its constellation; a continuous-phase type
+    maps its bits to the NRZ levels -1 and +1 that drive its frequency.
+    """
+    points = constellation(m) if m.is_linear else _NRZ_LEVELS
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= points.size):
         raise IndexOutOfRangeError(

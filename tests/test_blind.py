@@ -12,6 +12,7 @@ from blindrx.blind import (
     CMA_DIVERGENCE_LIMIT,
     CMA_TAPS,
     RATE_GRID_POINTS,
+    EstimateSet,
     band_segment,
     blind_chain,
     cma_equalize,
@@ -35,7 +36,7 @@ from blindrx.errors import (
     SignalTooShortError,
     ZeroPowerSignalError,
 )
-from blindrx.cli import _estimates_from_line, main
+from blindrx.cli import main
 from blindrx.generator import (
     DatasetSpec,
     TxParams,
@@ -45,6 +46,7 @@ from blindrx.generator import (
     write_dataset,
 )
 from blindrx.modulation import ModulationType
+from blindrx.recovery import genie_chain
 
 SPEC = DatasetSpec(count=1, seed=50, n_r=1024)
 
@@ -188,15 +190,19 @@ def test_fine_cfo_equivariance():
     assert abs((shifted - delta) - base) < 1e-9
 
 
-@pytest.mark.parametrize("scale", [1e80, 1e-80])
+@pytest.mark.parametrize("scale", [1e80, 1e-80, 1e154])
 def test_blind_chain_f0_is_scale_invariant(scale):
     # at 1e80 an unscaled z**4 overflows and the CFO search lands on its
-    # window edge (f0_hat 0.001703125 on this QPSK record)
+    # window edge (f0_hat 0.001703125 on this QPSK record); at 1e154 an
+    # unscaled |z|**2 overflows and the chain answers f0_hat -0.472 and
+    # tau_hat 150.6
     rec = generate_one(DatasetSpec(count=20, seed=5, n_r=1024), 13)
     assert rec.modulation is ModulationType.QPSK
     base, _ = blind_chain(rec.y, n0=rec.n0)
     scaled, _ = blind_chain(rec.y * scale, n0=rec.n0 * scale**2)
     assert abs(scaled.f0_hat - base.f0_hat) < 1e-12
+    assert abs(scaled.tau_hat - base.tau_hat) < 1e-12
+    assert abs(scaled.t0_hat - base.t0_hat) < 1e-12
 
 
 # -------------------------------------------------------------- fine rate
@@ -350,20 +356,18 @@ def test_blind_chain_noise_only():
 
 
 def test_blind_chain_estimates_serializable():
-    import json
-
+    # the est.jsonl line of a blind and of a genie run reads back as the
+    # estimates that wrote it
     rec = clean_record(23, ModulationType.QPSK)
-    estimates, _ = blind_chain(rec.y, n0=rec.n0)
-    payload = {
-        "f0_hat": estimates.f0_hat,
-        "tau_hat": estimates.tau_hat,
-        "t0_hat": estimates.t0_hat,
-        "band": [estimates.band.b1, estimates.band.b2],
-        "eq_taps": [[t.real, t.imag] for t in estimates.eq_taps],
-        "diagnostics": estimates.diagnostics,
-    }
-    text = json.dumps(payload)
-    assert json.loads(text)["tau_hat"] == estimates.tau_hat
+    for estimates, _ in (blind_chain(rec.y, n0=rec.n0), genie_chain(rec)):
+        back = EstimateSet.from_line(json.loads(json.dumps(estimates.to_line())))
+        if estimates.eq_taps is None:
+            assert back.eq_taps is None
+        else:
+            assert np.array_equal(back.eq_taps, estimates.eq_taps)
+        assert dataclasses.replace(back, eq_taps=None) == dataclasses.replace(
+            estimates, eq_taps=None
+        )
 
 
 def test_equalized_output_rebuilds_chain_output(tmp_path):
@@ -389,7 +393,7 @@ def test_equalized_output_rebuilds_chain_output(tmp_path):
         for line, rec in zip(lines, stored):
             n0 = rec.n0 if policy == "known" else None
             _, expected = blind_chain(rec.y, n0=n0)
-            rebuilt = equalized_output(rec.y, _estimates_from_line(line))
+            rebuilt = equalized_output(rec.y, EstimateSet.from_line(line))
             assert np.array_equal(rebuilt, expected)
             clipped.append(line["diagnostics"]["tau_clipped_for_timing"])
     assert clipped[5]

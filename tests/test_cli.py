@@ -322,9 +322,14 @@ def test_report_mixed_methods_and_idempotent(tmp_path, small_dataset):
     assert methods == {"blind", "genie"}
 
 
-def test_report_malformed_line_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("line", [
+    '{"signal_id":0,"bogus":1}',
+    '{"signal_id":0,"modulation":"bpsk","snr_db":"x","method":"blind",'
+    '"abs_f0_err":0.0,"abs_tau_err":0.0,"circ_t0_err":0.0}',
+], ids=["unknown-key", "wrong-type"])
+def test_report_malformed_line_is_config_error(tmp_path, capsys, line):
     eval_path = tmp_path / "eval.jsonl"
-    eval_path.write_text('{"signal_id":0,"bogus":1}\n')
+    eval_path.write_text(line + "\n")
     assert run("report", "--records", str(eval_path),
                "--out", str(tmp_path / "report")) == 1
     err = capsys.readouterr().err

@@ -397,8 +397,21 @@ def test_interrupted_write_leaves_no_meta(tmp_path):
 
 
 def test_empty_dataset(tmp_path):
-    write_dataset(tmp_path / "ds", [])
+    write_dataset(tmp_path / "ds", [], DatasetSpec(count=1, seed=16, n_r=256))
     assert read_dataset(tmp_path / "ds") == []
+
+
+def test_append_rejects_a_record_of_another_length(tmp_path):
+    # the IQ files are fixed-length records of spec.n_r samples; a record of
+    # another length would shift every record after it
+    spec = DatasetSpec(count=2, seed=17, n_r=256)
+    longer = generate_one(DatasetSpec(count=2, seed=17, n_r=512), 1)
+    with DatasetWriter(tmp_path / "ds", spec) as writer:
+        writer.append(generate_one(spec, 0))
+        with pytest.raises(ValueError):
+            writer.append(longer)
+    assert read_dataset(tmp_path / "ds")[0].y.size == 256
+    assert (tmp_path / "ds" / "y.iq").stat().st_size == 256 * 8
 
 
 def test_spec_validation():

@@ -9,9 +9,9 @@ from blindrx.errors import (
 from blindrx.modulation import (
     ModulationType,
     constellation,
+    map_symbols,
     modulate_cpfsk,
     modulate_gmsk,
-    modulate_linear,
     rrc_taps,
 )
 
@@ -143,30 +143,38 @@ def test_rrc_quarter_singularity_grid():
 
 
 def test_modulate_linear_bpsk():
-    seq = modulate_linear(ModulationType.BPSK, [0, 1, 0])
+    seq = map_symbols(ModulationType.BPSK, [0, 1, 0])
     assert np.allclose(seq.values, [1.0, -1.0, 1.0])
 
 
 def test_modulate_linear_constant_qpsk():
-    seq = modulate_linear(ModulationType.QPSK, [0, 0, 0, 0])
+    seq = map_symbols(ModulationType.QPSK, [0, 0, 0, 0])
     assert np.unique(seq.values).size == 1
 
 
 def test_modulate_linear_bijection():
-    seq = modulate_linear(ModulationType.QAM16, list(range(16)))
+    seq = map_symbols(ModulationType.QAM16, list(range(16)))
     assert np.unique(np.round(seq.values, 9)).size == 16
 
 
 def test_modulate_linear_pure_function():
-    a = modulate_linear(ModulationType.PSK8, [1, 5, 3])
-    b = modulate_linear(ModulationType.PSK8, [1, 5, 3])
+    a = map_symbols(ModulationType.PSK8, [1, 5, 3])
+    b = map_symbols(ModulationType.PSK8, [1, 5, 3])
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.indices, b.indices)
 
 
 def test_modulate_linear_index_out_of_range():
     with pytest.raises(IndexOutOfRangeError):
-        modulate_linear(ModulationType.QPSK, [0, 4])
+        map_symbols(ModulationType.QPSK, [0, 4])
+
+
+@pytest.mark.parametrize("modulation", [ModulationType.GMSK, ModulationType.CPFSK])
+def test_map_symbols_continuous_phase_bits_are_nrz(modulation):
+    seq = map_symbols(modulation, [0, 1, 1])
+    assert np.array_equal(seq.values, [-1.0, 1.0, 1.0])
+    with pytest.raises(IndexOutOfRangeError):
+        map_symbols(modulation, [2])
 
 
 # ------------------------------------------------------------- GMSK/CPFSK

@@ -3,7 +3,7 @@ import pytest
 
 from blindrx.errors import EmptyOverlapError, NonFiniteInputError, NonLinearModulationError
 from blindrx.generator import DatasetSpec, TxParams, build_fading, generate_one, make_rng
-from blindrx.modulation import ModulationType, SymbolSequence, constellation, modulate_linear
+from blindrx.modulation import ModulationType, SymbolSequence, constellation, map_symbols
 from blindrx.recovery import (
     RecoveredSymbols,
     decode_symbols,
@@ -237,12 +237,12 @@ def make_recovered(indices):
 
 
 def test_ser_identical_zero():
-    truth = modulate_linear(ModulationType.QPSK, [0, 1, 2, 3, 0])
+    truth = map_symbols(ModulationType.QPSK, [0, 1, 2, 3, 0])
     assert ser(make_recovered([0, 1, 2, 3, 0]), truth) == 0.0
 
 
 def test_ser_all_different_one():
-    truth = modulate_linear(ModulationType.QPSK, [0, 0, 0, 0])
+    truth = map_symbols(ModulationType.QPSK, [0, 0, 0, 0])
     assert ser(make_recovered([1, 1, 1, 1]), truth) == 1.0
 
 
@@ -252,16 +252,16 @@ def test_ser_length_mismatch_arithmetic():
     decoded_idx = truth_idx[:127].copy()
     flip = rng.choice(np.arange(1, 127), size=12, replace=False)
     decoded_idx[flip] = (decoded_idx[flip] + 1) % 4
-    truth = modulate_linear(ModulationType.QPSK, truth_idx)
+    truth = map_symbols(ModulationType.QPSK, truth_idx)
     assert ser(make_recovered(decoded_idx), truth) == 12 / 126
 
 
 def test_ser_excludes_first_position():
-    truth = modulate_linear(ModulationType.BPSK, [0, 1, 1])
+    truth = map_symbols(ModulationType.BPSK, [0, 1, 1])
     assert ser(make_recovered([1, 1, 1]), truth) == 0.0
 
 
 def test_ser_empty_overlap():
-    truth = modulate_linear(ModulationType.BPSK, [0])
+    truth = map_symbols(ModulationType.BPSK, [0])
     with pytest.raises(EmptyOverlapError):
         ser(make_recovered([0]), truth)
