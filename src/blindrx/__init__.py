@@ -8,6 +8,7 @@ from .blind import (
     band_segment,
     blind_chain,
     cma_equalize,
+    equalized_output,
     fine_cfo,
     fine_symbol_rate,
     gardner_timing,

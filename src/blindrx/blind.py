@@ -310,12 +310,10 @@ def gardner_timing(z: np.ndarray, tau_hat: float) -> TimingEstimate:
     k = np.arange(half, zi.size - half)
     err = np.real((zi[k - half] - zi[k + half]) * np.conj(zi[k]))
 
-    profile = np.zeros(p)
-    counts = np.zeros(p)
     phases = (k + guard) % p  # phase 0 = first sample of the record
-    np.add.at(profile, phases, err)
-    np.add.at(counts, phases, 1)
-    profile /= np.maximum(counts, 1)
+    profile = np.bincount(phases, err, minlength=p) / np.maximum(
+        np.bincount(phases, minlength=p), 1
+    )
 
     swing = float(profile.max() - profile.min())
     nxt = np.roll(profile, -1)
@@ -330,20 +328,13 @@ def gardner_timing(z: np.ndarray, tau_hat: float) -> TimingEstimate:
     return TimingEstimate(t0=float(t0), crossing_found=True)
 
 
-@dataclass
-class CmaResult:
-    taps: np.ndarray
-    output: np.ndarray
-
-
-def cma_equalize(z: np.ndarray, step: float = CMA_STEP) -> CmaResult:
-    """Single-pass constant-modulus equalization.
+def cma_equalize(z: np.ndarray, step: float = CMA_STEP) -> np.ndarray:
+    """Single-pass constant-modulus equalization; returns the final taps.
 
     The input is normalized to unit mean power, then one stochastic
     gradient step w <- w - step * g * (|g|^2 - 1) * conj(r) is taken per
     sample with g = w^T r, step mu = 1e-4, 20 taps, center-tap
-    initialization. The output is the normalized input convolved with the
-    final taps, aligned so the center tap contributes zero delay.
+    initialization. ``_apply_taps`` filters a signal with them.
 
     Divergence (a tap magnitude above 1e3) is checked after every step,
     but the taps are scanned only when a running bound on their largest
@@ -375,7 +366,7 @@ def cma_equalize(z: np.ndarray, step: float = CMA_STEP) -> CmaResult:
             bound = np.abs(w).max()
             if bound > CMA_DIVERGENCE_LIMIT:
                 raise CmaDivergenceError(f"tap magnitude exceeded at step {m}")
-    return CmaResult(taps=w, output=_apply_taps(z, w))
+    return w
 
 
 def _apply_taps(z: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -383,14 +374,13 @@ def _apply_taps(z: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.convolve(z / np.sqrt(mean_power(z)), taps[::-1], mode="same")
 
 
-def blind_chain(
-    y: np.ndarray, n0: float | None = None
-) -> tuple[EstimateSet, np.ndarray]:
+def blind_chain(y: np.ndarray, n0: float | None = None) -> EstimateSet:
     """Run the full blind pipeline on one received record.
 
     Stage order: band segmentation (which recenters and filters), residual
     fine CFO correction, fine symbol rate, Gardner timing, CMA
-    equalization. Returns the estimates plus the equalized signal.
+    equalization. Returns the estimates; :func:`equalized_output` builds
+    the equalized signal from them.
     Stage failures raise library errors carrying a ``stage`` attribute;
     a record that is too short or holds a NaN or Inf sample fails at stage
     ``input``.
@@ -416,13 +406,11 @@ def blind_chain(
     rate = fine_symbol_rate(x2, 2.0 * band.halfwidth)
     tau_for_timing = timing_tau(rate.tau)
     timing = gardner_timing(x2, tau_for_timing)
-    cma = cma_equalize(x2)
-
-    estimates = EstimateSet(
+    return EstimateSet(
         f0_hat=float(f0_hat),
         tau_hat=float(rate.tau),
         t0_hat=float(timing.t0),
-        eq_taps=cma.taps,
+        eq_taps=cma_equalize(x2),
         band=band,
         diagnostics={
             "rate_peak_to_mean": rate.peak_to_mean,
@@ -432,14 +420,14 @@ def blind_chain(
         },
         residual_cfo=residual,
     )
-    return estimates, cma.output
 
 
 def equalized_output(y: np.ndarray, estimates: EstimateSet) -> np.ndarray:
-    """Rebuild :func:`blind_chain`'s output, bit for bit, from its estimates.
+    """The blind chain's equalized signal, built from its estimates.
 
     Replays the unit scaling, the segmentation stages, the residual CFO
-    and the final CMA taps.
+    and the final CMA taps of :func:`blind_chain`, so estimates read back
+    from an ``est.jsonl`` line give the same signal bit for bit.
     """
     x = np.asarray(y)
     x = x * _unit_scale(x)

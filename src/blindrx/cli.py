@@ -113,7 +113,7 @@ def _estimate_worker(args) -> list[dict]:
                 estimates, _ = recovery.genie_chain(record)
             else:
                 n0 = record.n0 if stamp["n0_policy"] == "known" else None
-                estimates, _ = blind.blind_chain(y, n0=n0)
+                estimates = blind.blind_chain(y, n0=n0)
             line.update(status="ok", **estimates.to_line())
         except BlindRxError as exc:
             line.update(status=_status_name(exc), detail=str(exc), stage=exc.stage)
@@ -132,7 +132,7 @@ def cmd_estimate(args) -> int:
     payload = (
         (i, rec_meta, y, methods, stamp)
         for (i, rec_meta), (y,) in zip(
-            enumerate(meta["records"]), iter_record_signals(args.dataset, ("y",))
+            enumerate(meta["records"]), iter_record_signals(args.dataset, meta, ("y",))
         )
     )
     with open(args.out, "w") as out:
@@ -146,10 +146,10 @@ def cmd_estimate(args) -> int:
 
 
 def _decode_worker(args) -> list[dict]:
-    index, rec_meta, y, z2, est_lines, decode_mods = args
+    index, rec_meta, y, z2, loaded, decode_mods = args
     record = record_from_meta(rec_meta, y, z2=z2)
     results = []
-    for method, line in est_lines.items():
+    for method, (status, estimates) in loaded.items():
         scores = metrics.EvalRecord(
             signal_id=index,
             modulation=record.modulation.value,
@@ -158,15 +158,14 @@ def _decode_worker(args) -> list[dict]:
             abs_f0_err=metrics.FAILED_F0_ERROR,
             abs_tau_err=metrics.FAILED_TAU_ERROR,
             circ_t0_err=metrics.FAILED_T0_ERROR,
-            status=line["status"],
+            status=status,
         )
         results.append(scores)
-        if scores.status != "ok":
+        if estimates is None:
             continue
         if method == "genie":
-            estimates, recovered = recovery.genie_chain(record)
+            recovered = recovery.genie_chain(record)[1]
         else:
-            estimates = blind.EstimateSet.from_line(line)
             recovered = blind.equalized_output(y, estimates)
         scores.abs_f0_err, scores.abs_tau_err, scores.circ_t0_err = (
             metrics.estimation_errors(estimates, record.params)
@@ -188,19 +187,26 @@ def _decode_worker(args) -> list[dict]:
     return [asdict(scores) for scores in results]
 
 
-def _load_estimates(args, n_records: int, methods) -> dict[tuple[int, str], dict]:
-    """Estimate lines by (record, method), stamped with this dataset and,
-    if ``--n0`` is given, that policy; anything else raises ValueError."""
+def _load_estimates(args, n_records: int, methods) -> dict[tuple[int, str], tuple]:
+    """(status, EstimateSet of an ``ok`` line or None) by (record, method),
+    from lines stamped with this dataset and, if ``--n0`` is given, that
+    policy; anything else raises ValueError naming the file (and line)."""
     stamp = {"dataset_sha256": dataset_fingerprint(args.dataset)}
     if args.n0 is not None:
         stamp["n0_policy"] = args.n0
     lines = {}
     with open(args.estimates) as fh:
-        for line in map(json.loads, fh):
-            found = {key: line.get(key) for key in stamp}
-            if found != stamp:
-                raise ValueError(f"{args.estimates}: stamp {found} != {stamp}")
-            lines[line["signal_id"], line["method"]] = line
+        for number, raw in enumerate(fh, start=1):
+            try:
+                line = json.loads(raw)
+                found = {key: line.get(key) for key in stamp}
+                if found != stamp:
+                    raise ValueError(f"stamp {found} != {stamp}")
+                status = line["status"]
+                estimates = blind.EstimateSet.from_line(line) if status == "ok" else None
+                lines[line["signal_id"], line["method"]] = status, estimates
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{args.estimates} line {number}: {exc!r}") from None
     for key in itertools.product(range(n_records), methods):
         if key not in lines:
             raise ValueError(f"{args.estimates}: no line for (record, method) {key}")
@@ -211,12 +217,12 @@ def cmd_decode(args) -> int:
     meta = read_meta(args.dataset)
     decode_mods = _parse_mods(args.mods, DEFAULT_DECODE_MODS)
     methods = _method_list(args.method)
-    estimates = _load_estimates(args, meta["count"], methods)
+    loaded = _load_estimates(args, meta["count"], methods)
     payload = (
-        (i, rec_meta, y, z2, {m: estimates[i, m] for m in methods}, decode_mods)
+        (i, rec_meta, y, z2, {m: loaded[i, m] for m in methods}, decode_mods)
         for (i, rec_meta), (y, z2) in zip(
             enumerate(meta["records"]),
-            iter_record_signals(args.dataset, ("y", "z2")),
+            iter_record_signals(args.dataset, meta, ("y", "z2")),
         )
     )
     with open(args.out, "w") as out:

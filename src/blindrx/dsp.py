@@ -18,14 +18,14 @@ def frequency_shift(x: np.ndarray, freq: float, phase: float = 0.0) -> np.ndarra
     return x * np.exp(1j * (2.0 * np.pi * freq * k + phase))
 
 
-def lowpass(x: np.ndarray, cutoff: float, n_taps: int = LOWPASS_TAPS) -> np.ndarray:
+def lowpass(x: np.ndarray, cutoff: float) -> np.ndarray:
     """Windowed-sinc lowpass, length preserved, group delay compensated.
 
     ``cutoff`` is the -6 dB edge in cycles/sample and is clipped to stay
     strictly inside (0, 0.5).
     """
     cutoff = float(np.clip(cutoff, 1e-4, 0.499))
-    taps = sp_signal.firwin(n_taps, cutoff, fs=1.0)
+    taps = sp_signal.firwin(LOWPASS_TAPS, cutoff, fs=1.0)
     return np.convolve(np.asarray(x), taps, mode="same")
 
 

@@ -406,9 +406,9 @@ def write_dataset(path, records, spec: DatasetSpec) -> None:
 
 def read_dataset(path) -> list[TxGroundTruth]:
     """Read back a dataset directory written by :func:`write_dataset`."""
-    records = read_meta(path)["records"]
-    signals = iter_record_signals(path, ("y", "z1", "z2"))
-    return [record_from_meta(rec, *arrays) for rec, arrays in zip(records, signals)]
+    meta = read_meta(path)
+    signals = iter_record_signals(path, meta, ("y", "z1", "z2"))
+    return [record_from_meta(rec, *arrays) for rec, arrays in zip(meta["records"], signals)]
 
 
 def dataset_fingerprint(path) -> str:
@@ -428,14 +428,13 @@ def read_meta(path) -> dict:
     return meta
 
 
-def iter_record_signals(path, names=("y",)):
+def iter_record_signals(path, meta: dict, names):
     """Yield per-record IQ arrays without loading whole streams.
 
-    ``names`` selects among ("y", "z1", "z2"); each yielded item is a tuple
-    of complex128 arrays in that order.
+    ``meta`` is the table :func:`read_meta` returned. ``names`` selects among
+    ("y", "z1", "z2"); each item is a tuple of complex128 arrays in that order.
     """
     path = Path(path)
-    meta = read_meta(path)
     count, n_r = meta["count"], meta["n_r"]
     handles = [open(path / f"{n}.iq", "rb") for n in names]
     try:

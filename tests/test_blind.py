@@ -198,8 +198,8 @@ def test_blind_chain_f0_is_scale_invariant(scale):
     # tau_hat 150.6
     rec = generate_one(DatasetSpec(count=20, seed=5, n_r=1024), 13)
     assert rec.modulation is ModulationType.QPSK
-    base, _ = blind_chain(rec.y, n0=rec.n0)
-    scaled, _ = blind_chain(rec.y * scale, n0=rec.n0 * scale**2)
+    base = blind_chain(rec.y, n0=rec.n0)
+    scaled = blind_chain(rec.y * scale, n0=rec.n0 * scale**2)
     assert abs(scaled.f0_hat - base.f0_hat) < 1e-12
     assert abs(scaled.tau_hat - base.tau_hat) < 1e-12
     assert abs(scaled.t0_hat - base.t0_hat) < 1e-12
@@ -296,21 +296,21 @@ def dispersion(x):
 def test_cma_zero_step_returns_initialization():
     rng = make_rng(67)
     z = complex_noise(rng, 500)
-    result = cma_equalize(z, step=0.0)
+    taps = cma_equalize(z, step=0.0)
     expected = np.zeros(20, dtype=np.complex128)
     expected[10] = 1.0
-    assert np.array_equal(result.taps, expected)
-    np.testing.assert_allclose(result.output, z / np.sqrt(mean_power(z)), rtol=1e-12)
+    assert np.array_equal(taps, expected)
+    np.testing.assert_allclose(_apply_taps(z, taps), z / np.sqrt(mean_power(z)), rtol=1e-12)
 
 
 def test_cma_constant_modulus_input_stays_put():
     # clean QPSK at one sample per symbol is already constant modulus
     rng = make_rng(68)
     points = np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(4, size=600)))
-    result = cma_equalize(points)
-    assert abs(result.taps[10] - 1.0) < 0.05
-    assert np.max(np.abs(np.delete(result.taps, 10))) < 0.05
-    assert dispersion(result.output) <= dispersion(points) + 1e-6
+    taps = cma_equalize(points)
+    assert abs(taps[10] - 1.0) < 0.05
+    assert np.max(np.abs(np.delete(taps, 10))) < 0.05
+    assert dispersion(_apply_taps(points, taps)) <= dispersion(points) + 1e-6
 
 
 def test_cma_improves_two_tap_channel():
@@ -322,8 +322,7 @@ def test_cma_improves_two_tap_channel():
         points = np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(4, size=800)))
         z = np.convolve(points, channel, mode="same")
         z = z + complex_noise(rng, z.size, variance=mean_power(z) / 100.0)
-        result = cma_equalize(z)
-        wins += dispersion(result.output) < dispersion(z)
+        wins += dispersion(_apply_taps(z, cma_equalize(z))) < dispersion(z)
     assert wins / trials >= 0.90
 
 
@@ -341,7 +340,8 @@ def test_blind_chain_clean_bpsk():
     # phase additionally drifts with any rate error, so it only gets a
     # range check here (stage-level accuracy is tested above).
     rec = clean_record(21, ModulationType.BPSK, f0=0.004, t0=0.25, beta=0.15)
-    estimates, recovered = blind_chain(rec.y, n0=rec.n0)
+    estimates = blind_chain(rec.y, n0=rec.n0)
+    recovered = equalized_output(rec.y, estimates)
     assert abs(estimates.f0_hat - 0.004) <= 2.0 / 256
     assert abs(estimates.tau_hat - 8.0) <= 1.5
     assert 0.0 <= estimates.t0_hat < 1.0
@@ -359,7 +359,7 @@ def test_blind_chain_estimates_serializable():
     # the est.jsonl line of a blind and of a genie run reads back as the
     # estimates that wrote it
     rec = clean_record(23, ModulationType.QPSK)
-    for estimates, _ in (blind_chain(rec.y, n0=rec.n0), genie_chain(rec)):
+    for estimates in (blind_chain(rec.y, n0=rec.n0), genie_chain(rec)[0]):
         back = EstimateSet.from_line(json.loads(json.dumps(estimates.to_line())))
         if estimates.eq_taps is None:
             assert back.eq_taps is None
@@ -372,9 +372,10 @@ def test_blind_chain_estimates_serializable():
 
 def test_equalized_output_rebuilds_chain_output(tmp_path):
     # The estimate line is the only thing decode keeps of a blind run, so
-    # the output rebuilt from its JSON must equal the chain's own, bit for
-    # bit, under both n0 policies. The tone's rate estimate is far above
-    # GARDNER_TAU_LIMITS, so its timing ran on a clipped tau.
+    # the output rebuilt from its JSON must equal the one rebuilt from the
+    # chain's own estimates, bit for bit, under both n0 policies. The
+    # tone's rate estimate is far above GARDNER_TAU_LIMITS, so its timing
+    # ran on a clipped tau.
     spec = DatasetSpec(count=6, seed=52, n_r=1024, snr_levels_db=(10.0, 20.0),
                        modulations=(ModulationType.BPSK, ModulationType.QAM16))
     records = [generate_one(spec, i) for i in range(5)]
@@ -392,9 +393,9 @@ def test_equalized_output_rebuilds_chain_output(tmp_path):
         assert [line["status"] for line in lines] == ["ok"] * 6
         for line, rec in zip(lines, stored):
             n0 = rec.n0 if policy == "known" else None
-            _, expected = blind_chain(rec.y, n0=n0)
+            expected = equalized_output(rec.y, blind_chain(rec.y, n0=n0))
             rebuilt = equalized_output(rec.y, EstimateSet.from_line(line))
-            assert np.array_equal(rebuilt, expected)
+            assert rebuilt.tobytes() == expected.tobytes()
             clipped.append(line["diagnostics"]["tau_clipped_for_timing"])
     assert clipped[5]
 
@@ -469,10 +470,10 @@ def cma_input(name):
 def test_cma_matches_per_step_reference_bit_for_bit(monkeypatch, name, step, limit):
     monkeypatch.setattr(blind, "CMA_DIVERGENCE_LIMIT", limit)
     z = cma_input(name)
-    taps, output = reference_cma(z, step, limit)
-    result = cma_equalize(z, step)
-    assert result.taps.tobytes() == taps.tobytes()
-    assert result.output.tobytes() == output.tobytes()
+    ref_taps, ref_output = reference_cma(z, step, limit)
+    taps = cma_equalize(z, step)
+    assert taps.tobytes() == ref_taps.tobytes()
+    assert _apply_taps(z, taps).tobytes() == ref_output.tobytes()
 
 
 # Divergence at step 2, at step 3340 of 3981 after thousands of unscanned
@@ -553,7 +554,7 @@ def received_records(draw):
 @given(y=received_records(), n0=st.sampled_from([None, 1.0]))
 def test_blind_chain_property_finite_or_library_error(y, n0):
     try:
-        estimates, output = blind_chain(y, n0=n0)
+        estimates = blind_chain(y, n0=n0)
     except BlindRxError as exc:
         assert exc.stage is not None
         if not np.isfinite(y).all() and y.size >= 256:
@@ -561,4 +562,7 @@ def test_blind_chain_property_finite_or_library_error(y, n0):
         return
     assert np.isfinite([estimates.f0_hat, estimates.tau_hat, estimates.t0_hat]).all()
     assert np.isfinite(estimates.eq_taps).all()
+    output = equalized_output(y, estimates)
     assert np.isfinite(output).all()
+    line = json.loads(json.dumps(estimates.to_line()))
+    assert equalized_output(y, EstimateSet.from_line(line)).tobytes() == output.tobytes()

@@ -252,24 +252,50 @@ def test_decode_scores_persisted_blind_estimates(tmp_path, small_dataset, monkey
     assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize("mismatch", ["dataset", "missing_line", "n0_policy"])
-def test_decode_rejects_estimates_that_do_not_fit(tmp_path, small_dataset, mismatch):
+def drop_key(key):
+    def edit(raw):
+        line = json.loads(raw)
+        del line[key]
+        return json.dumps(line) + "\n"
+    return edit
+
+
+# Each edit breaks line 2, record 0's genie line, which is always ok.
+BROKEN_LINE_2 = {
+    "missing_field": drop_key("band"),
+    "no_signal_id": drop_key("signal_id"),
+    "not_json": lambda raw: raw[:-2] + "\n",
+    "not_object": lambda raw: "[]\n",
+}
+
+
+@pytest.mark.parametrize("mismatch", ["dataset", "missing_line", "n0_policy", *BROKEN_LINE_2])
+def test_decode_rejects_estimates_that_do_not_fit(tmp_path, small_dataset, capsys, mismatch):
     est = tmp_path / "est.jsonl"
     run("estimate", "--dataset", str(small_dataset), "--out", str(est),
         "--method", "both", "--n0", "known")
+    lines = est.read_text().splitlines(keepends=True)
     dataset, extra = small_dataset, []
     if mismatch == "dataset":
         dataset = tmp_path / "other"
         run("generate", "--out", str(dataset), "--count", "12", "--seed", "22",
             "--snr", "20", "--mods", "bpsk,qpsk")
     elif mismatch == "missing_line":
-        est.write_text("".join(est.read_text().splitlines(keepends=True)[:-1]))
-    else:
+        est.write_text("".join(lines[:-1]))
+    elif mismatch == "n0_policy":
         extra = ["--n0", "estimated"]
+    else:
+        lines[1] = BROKEN_LINE_2[mismatch](lines[1])
+        est.write_text("".join(lines))
+    capsys.readouterr()
     out = tmp_path / "eval.jsonl"
     assert run("decode", "--dataset", str(dataset), "--estimates", str(est),
                "--out", str(out), "--method", "both", *extra) == 1
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    if mismatch in BROKEN_LINE_2:
+        assert f"{est} line 2:" in err
 
 
 def test_decode_deterministic(tmp_path, small_dataset):
