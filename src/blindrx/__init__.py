@@ -44,9 +44,11 @@ from .modulation import (
 )
 from .recovery import (
     RecoveredSymbols,
+    decode_packet,
     decode_symbols,
     genie_chain,
     genie_equalize,
+    genie_output,
     ser,
     symbol_resample,
 )

@@ -9,6 +9,7 @@ constant-modulus equalizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -46,7 +47,7 @@ class BandEstimate:
 
     b1: float
     b2: float
-    stages: tuple[tuple[float, float], ...] = ()  # (center, halfwidth) applied
+    stages: tuple[tuple[float, float], ...]  # (center, halfwidth) applied
 
     @property
     def center(self) -> float:
@@ -91,8 +92,6 @@ class EstimateSet:
         A missing band or tap set is null; :meth:`from_line` reads it back.
         """
         line = asdict(self)
-        if self.band is not None:
-            line["band"].update(center=self.band.center, halfwidth=self.band.halfwidth)
         if self.eq_taps is not None:
             line["eq_taps"] = [[float(t.real), float(t.imag)] for t in self.eq_taps]
         return line
@@ -101,6 +100,11 @@ class EstimateSet:
     def from_line(cls, line: dict) -> "EstimateSet":
         """The estimates of a line written from :meth:`to_line`."""
         values = {f.name: line[f.name] for f in fields(cls)}
+        for name in ("f0_hat", "tau_hat", "t0_hat", "residual_cfo"):
+            value = values[name]
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value)):
+                raise TypeError(f"{name} must be a finite number, got {value!r}")
         band, taps = values["band"], values["eq_taps"]
         if band is not None:
             stages = tuple(map(tuple, band["stages"]))
@@ -163,17 +167,8 @@ def _occupied_run(pxx: np.ndarray, threshold: float) -> tuple[int, int] | None:
     bridged = mask.copy()
     interior = mask[:-2] & ~mask[1:-1] & mask[2:]
     bridged[1:-1] |= interior
-
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i, occupied in enumerate(bridged):
-        if occupied and start is None:
-            start = i
-        elif not occupied and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(bridged) - 1))
+    edges = np.flatnonzero(np.diff(bridged, prepend=False, append=False)).tolist()
+    runs = zip(edges[::2], [e - 1 for e in edges[1::2]])
     return max(runs, key=lambda r: float(np.sum(pxx[r[0] : r[1] + 1])))
 
 

@@ -110,7 +110,7 @@ def _estimate_worker(args) -> list[dict]:
         line = {"signal_id": index, "method": method, **stamp}
         try:
             if method == "genie":
-                estimates, _ = recovery.genie_chain(record)
+                estimates = recovery.genie_chain(record)
             else:
                 n0 = record.n0 if stamp["n0_policy"] == "known" else None
                 estimates = blind.blind_chain(y, n0=n0)
@@ -164,7 +164,7 @@ def _decode_worker(args) -> list[dict]:
         if estimates is None:
             continue
         if method == "genie":
-            recovered = recovery.genie_chain(record)[1]
+            recovered = recovery.genie_output(record)
         else:
             recovered = blind.equalized_output(y, estimates)
         scores.abs_f0_err, scores.abs_tau_err, scores.circ_t0_err = (
@@ -175,13 +175,7 @@ def _decode_worker(args) -> list[dict]:
             scores.status = "not_decoded"
             continue
         try:
-            soft = recovery.symbol_resample(
-                recovered, blind.timing_tau(estimates.tau_hat), estimates.t0_hat
-            )
-            decoded = recovery.decode_symbols(
-                soft, record.modulation, record.symbols.values[0]
-            )
-            scores.ser = recovery.ser(decoded, record.symbols)
+            scores.ser = recovery.decode_packet(record, recovered, estimates)
         except BlindRxError as exc:
             scores.status = _status_name(exc)
     return [asdict(scores) for scores in results]
@@ -203,9 +197,11 @@ def _load_estimates(args, n_records: int, methods) -> dict[tuple[int, str], tupl
                 if found != stamp:
                     raise ValueError(f"stamp {found} != {stamp}")
                 status = line["status"]
+                if not isinstance(status, str):
+                    raise TypeError(f"status must be str, got {status!r}")
                 estimates = blind.EstimateSet.from_line(line) if status == "ok" else None
                 lines[line["signal_id"], line["method"]] = status, estimates
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"{args.estimates} line {number}: {exc!r}") from None
     for key in itertools.product(range(n_records), methods):
         if key not in lines:

@@ -1,8 +1,8 @@
 """Genie-aided recovery, symbol-rate resampling, and symbol decoding.
 
 The genie path undoes impairments with full knowledge of the generator
-labels; the resampler and decision-directed decoder are shared with the
-blind path so both are scored by the same machinery.
+labels. ``decode_packet`` resamples, decodes and scores a packet of the
+blind and the genie path alike, so both are scored by the same machinery.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blind import TIMING_SPS, BandEstimate, EstimateSet, GARDNER_TAU_LIMITS
+from .blind import TIMING_SPS, EstimateSet, GARDNER_TAU_LIMITS, timing_tau
 from .dsp import frequency_shift, interpolate_at, lowpass
 from .errors import (
     EmptyOverlapError,
@@ -61,32 +61,24 @@ def genie_equalize(z: np.ndarray, channel: np.ndarray, n0: float) -> np.ndarray:
     return np.fft.ifft(spectrum)
 
 
-def genie_chain(truth: TxGroundTruth) -> tuple[EstimateSet, np.ndarray]:
-    """Recover a record using the exact generator labels.
-
-    Carrier frequency and phase are removed exactly, the signal is lowpass
-    filtered to its known bandwidth (skipped in the noise-free case, where
-    the optimal noise filter is allpass), and the true channel is inverted
-    with the MMSE equalizer. True timing labels are passed downstream.
-    A record holding a NaN or Inf sample fails at stage ``input``.
-    """
+def genie_chain(truth: TxGroundTruth) -> EstimateSet:
+    """The exact labels as estimates; a NaN or Inf sample fails at ``input``."""
     if not np.isfinite(truth.y).all():
         raise NonFiniteInputError("received record holds NaN or Inf samples")
     p = truth.params
+    return EstimateSet(f0_hat=p.f0, tau_hat=p.tau, t0_hat=p.t0)
+
+
+def genie_output(truth: TxGroundTruth) -> np.ndarray:
+    """The genie signal: exact carrier removal, a lowpass to the known
+    bandwidth (skipped when n0 is 0, where the optimal noise filter is
+    allpass) and the MMSE inverse of the true channel."""
+    p = truth.params
     z = frequency_shift(truth.y, -p.f0, -p.phi0)
-    bandwidth = (1.0 + p.beta) / (2.0 * p.tau)
     if truth.n0 > 0.0:
+        bandwidth = (1.0 + p.beta) / (2.0 * p.tau)
         z = lowpass(z, GENIE_LPF_MARGIN * bandwidth)
-    recovered = genie_equalize(z, p.channel, truth.n0)
-    estimates = EstimateSet(
-        f0_hat=p.f0,
-        tau_hat=p.tau,
-        t0_hat=p.t0,
-        eq_taps=None,
-        band=BandEstimate(b1=p.f0 - bandwidth, b2=p.f0 + bandwidth),
-        diagnostics={"genie": True},
-    )
-    return estimates, recovered
+    return genie_equalize(z, p.channel, truth.n0)
 
 
 def symbol_resample(z: np.ndarray, tau_hat: float, t0_hat: float) -> np.ndarray:
@@ -157,3 +149,13 @@ def ser(recovered: RecoveredSymbols, truth: SymbolSequence) -> float:
         recovered.hard[1:n] != truth.indices[1:n]
     )
     return float(mismatches) / float(n - 1)
+
+
+def decode_packet(
+    truth: TxGroundTruth, recovered: np.ndarray, estimates: EstimateSet
+) -> float:
+    """SER of ``recovered`` sampled at the estimated timing (tau clamped by
+    ``timing_tau``) and decoded from the first labelled symbol."""
+    soft = symbol_resample(recovered, timing_tau(estimates.tau_hat), estimates.t0_hat)
+    decoded = decode_symbols(soft, truth.modulation, truth.symbols.values[0])
+    return ser(decoded, truth.symbols)

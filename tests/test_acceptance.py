@@ -19,7 +19,6 @@ from blindrx.blind import (
     fine_cfo,
     fine_symbol_rate,
     gardner_timing,
-    timing_tau,
 )
 from blindrx.cli import main as cli_main
 from blindrx.errors import BlindRxError
@@ -39,7 +38,7 @@ from blindrx.metrics import (
     phase_invariant_loss,
 )
 from blindrx.modulation import ModulationType, constellation
-from blindrx.recovery import decode_symbols, genie_chain, ser, symbol_resample
+from blindrx.recovery import decode_packet, decode_symbols, genie_chain, genie_output
 
 BPSK_QPSK = (ModulationType.BPSK, ModulationType.QPSK)
 
@@ -52,12 +51,6 @@ def announce(number, passed, detail):
 
 def random_signal(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def decode_record(record, estimates, recovered):
-    soft = symbol_resample(recovered, timing_tau(estimates.tau_hat), estimates.t0_hat)
-    decoded = decode_symbols(soft, record.modulation, record.symbols.values[0])
-    return ser(decoded, record.symbols)
 
 
 def test_criterion_1_phase_invariance():
@@ -119,11 +112,11 @@ def test_criterion_3_genie_identity():
         )
         modulation = BPSK_QPSK[i % 2]
         record = generate_one(spec, i, params=params, modulation=modulation)
-        estimates, recovered = genie_chain(record)
+        estimates, recovered = genie_chain(record), genie_output(record)
         worst_rms = max(
             worst_rms, float(np.sqrt(np.mean(np.abs(recovered - record.z2) ** 2)))
         )
-        packets_in_error += decode_record(record, estimates, recovered) > 0.0
+        packets_in_error += decode_packet(record, recovered, estimates) > 0.0
     elapsed = time.time() - start
     announce(
         3,
@@ -143,9 +136,9 @@ def test_criterion_4_genie_fading_per():
     totals = {m: 0 for m in BPSK_QPSK}
     for i in range(1000):
         record = generate_one(spec, i)
-        estimates, recovered = genie_chain(record)
+        estimates, recovered = genie_chain(record), genie_output(record)
         totals[record.modulation] += 1
-        errors[record.modulation] += decode_record(record, estimates, recovered) > 0.0
+        errors[record.modulation] += decode_packet(record, recovered, estimates) > 0.0
     per_bpsk = errors[ModulationType.BPSK] / totals[ModulationType.BPSK]
     per_qpsk = errors[ModulationType.QPSK] / totals[ModulationType.QPSK]
     elapsed = time.time() - start
@@ -173,14 +166,14 @@ def test_criterion_5_blind_vs_genie_ordering():
         blind_f0 = []
         for i in range(n):
             record = generate_one(spec, i)
-            g_est, g_rec = genie_chain(record)
+            g_est, g_rec = genie_chain(record), genie_output(record)
             genie_f0.append(abs(g_est.f0_hat - record.params.f0))
-            genie_pkt_err += decode_record(record, g_est, g_rec) > 0.0
+            genie_pkt_err += decode_packet(record, g_rec, g_est) > 0.0
             try:
                 b_est = blind_chain(record.y, n0=record.n0)
                 b_rec = equalized_output(record.y, b_est)
                 blind_f0.append(abs(b_est.f0_hat - record.params.f0))
-                blind_pkt_err += decode_record(record, b_est, b_rec) > 0.0
+                blind_pkt_err += decode_packet(record, b_rec, b_est) > 0.0
             except BlindRxError:
                 blind_f0.append(FAILED_F0_ERROR)
                 blind_pkt_err += 1

@@ -24,6 +24,7 @@ from blindrx.blind import (
     welch_psd,
     _apply_taps,
     _line_search,
+    _occupied_run,
     _segment_stage,
 )
 from blindrx.dsp import frequency_shift, lowpass, mean_power
@@ -146,6 +147,42 @@ def test_band_segment_dc_tone_blind_floor():
 def test_band_segment_too_short():
     with pytest.raises(SignalTooShortError):
         band_segment(np.ones(128, dtype=np.complex128))
+
+
+def reference_occupied_run(pxx, threshold):
+    """The run finder as a start/stop scan over the bridged mask."""
+    mask = pxx > threshold
+    if not mask.any():
+        return None
+    bridged = mask.copy()
+    bridged[1:-1] |= mask[:-2] & ~mask[1:-1] & mask[2:]
+    runs = []
+    start = None
+    for i, occupied in enumerate(bridged):
+        if occupied and start is None:
+            start = i
+        elif not occupied and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(bridged) - 1))
+    return max(runs, key=lambda r: float(np.sum(pxx[r[0] : r[1] + 1])))
+
+
+def test_occupied_run_matches_scan_reference():
+    # Bin powers of 0, 1 and 2 make equal-power runs (ties go to the
+    # first) and runs that touch either end of the spectrum.
+    rng = make_rng(65)
+    spectra = [np.zeros(5), np.ones(3), np.array([1.0, 0.0, 0.0, 1.0]),
+               np.array([2.0, 0.0, 1.0, 1.0]), np.array([1.0, 0.0, 1.0, 0.0, 0.0, 2.0])]
+    for _ in range(2000):
+        n = int(rng.integers(3, 257))
+        occupied = rng.random(n) < rng.uniform(0.1, 0.9)
+        spectra.append(occupied * rng.integers(1, 3, size=n).astype(float))
+    for pxx in spectra:
+        run = _occupied_run(pxx, 0.5)
+        assert run == reference_occupied_run(pxx, 0.5)
+        assert run is None or all(type(edge) is int for edge in run)
 
 
 # --------------------------------------------------------------- fine CFO
@@ -359,7 +396,7 @@ def test_blind_chain_estimates_serializable():
     # the est.jsonl line of a blind and of a genie run reads back as the
     # estimates that wrote it
     rec = clean_record(23, ModulationType.QPSK)
-    for estimates in (blind_chain(rec.y, n0=rec.n0), genie_chain(rec)[0]):
+    for estimates in (blind_chain(rec.y, n0=rec.n0), genie_chain(rec)):
         back = EstimateSet.from_line(json.loads(json.dumps(estimates.to_line())))
         if estimates.eq_taps is None:
             assert back.eq_taps is None

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindrx import blind
+from blindrx import blind, recovery
 from blindrx.cli import main
 from blindrx.generator import (
     DatasetSpec,
@@ -113,6 +113,18 @@ def test_estimate_genie_matches_labels(tmp_path, small_dataset):
         assert line["f0_hat"] == rec["f0"]
         assert line["tau_hat"] == rec["tau"]
         assert line["t0_hat"] == rec["t0"]
+
+
+def test_estimate_genie_builds_no_signal(tmp_path, small_dataset, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("estimate must not build the genie signal")
+
+    monkeypatch.setattr(recovery, "genie_equalize", refuse)
+    out = tmp_path / "est.jsonl"
+    assert run("estimate", "--dataset", str(small_dataset), "--out", str(out),
+               "--method", "genie") == 0
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [line["status"] for line in lines] == ["ok"] * 12
 
 
 def test_estimate_blind_and_failure_recorded(tmp_path):
@@ -252,20 +264,23 @@ def test_decode_scores_persisted_blind_estimates(tmp_path, small_dataset, monkey
     assert first.read_bytes() == second.read_bytes()
 
 
-def drop_key(key):
+def edited(change):
     def edit(raw):
         line = json.loads(raw)
-        del line[key]
+        change(line)
         return json.dumps(line) + "\n"
     return edit
 
 
 # Each edit breaks line 2, record 0's genie line, which is always ok.
 BROKEN_LINE_2 = {
-    "missing_field": drop_key("band"),
-    "no_signal_id": drop_key("signal_id"),
+    "missing_field": edited(lambda line: line.pop("band")),
+    "no_signal_id": edited(lambda line: line.pop("signal_id")),
     "not_json": lambda raw: raw[:-2] + "\n",
     "not_object": lambda raw: "[]\n",
+    "status_not_str": edited(lambda line: line.update(status=5)),
+    "estimate_not_number": edited(lambda line: line.update(f0_hat="x")),
+    "estimate_too_large": edited(lambda line: line.update(t0_hat=10**400)),
 }
 
 

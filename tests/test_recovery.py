@@ -4,11 +4,14 @@ import pytest
 from blindrx.errors import EmptyOverlapError, NonFiniteInputError, NonLinearModulationError
 from blindrx.generator import DatasetSpec, TxParams, build_fading, generate_one, make_rng
 from blindrx.modulation import ModulationType, SymbolSequence, constellation, map_symbols
+from blindrx.blind import EstimateSet, timing_tau
 from blindrx.recovery import (
     RecoveredSymbols,
+    decode_packet,
     decode_symbols,
     genie_chain,
     genie_equalize,
+    genie_output,
     ser,
     symbol_resample,
 )
@@ -97,7 +100,7 @@ def test_genie_chain_noise_free_identity():
             phi0=float(rng.uniform(0, 2 * np.pi)),
             channel=np.array([np.exp(1j * rng.uniform(0, 2 * np.pi))]),
         )
-        estimates, recovered = genie_chain(rec)
+        estimates, recovered = genie_chain(rec), genie_output(rec)
         rms = np.sqrt(np.mean(np.abs(recovered - rec.z2) ** 2))
         assert rms < 1e-3
         assert estimates.f0_hat == rec.params.f0
@@ -265,3 +268,19 @@ def test_ser_empty_overlap():
     truth = map_symbols(ModulationType.BPSK, [0])
     with pytest.raises(EmptyOverlapError):
         ser(make_recovered([0]), truth)
+
+
+# ------------------------------------------------------------- decode packet
+
+
+def test_decode_packet_clamps_tau_for_the_resampler():
+    # A tone's rate estimate (tau_hat 74.5) is outside the interpolator's
+    # range: the resampler alone refuses it, decode_packet clamps it first.
+    rec = clean_record(7, modulation=ModulationType.QPSK, snr_db=20.0)
+    recovered = genie_output(rec)
+    estimates = EstimateSet(f0_hat=0.0, tau_hat=74.5, t0_hat=rec.params.t0)
+    with pytest.raises(ValueError):
+        symbol_resample(recovered, estimates.tau_hat, estimates.t0_hat)
+    soft = symbol_resample(recovered, timing_tau(estimates.tau_hat), estimates.t0_hat)
+    decoded = decode_symbols(soft, rec.modulation, rec.symbols.values[0])
+    assert decode_packet(rec, recovered, estimates) == ser(decoded, rec.symbols)
