@@ -98,20 +98,36 @@ class EstimateSet:
 
     @classmethod
     def from_line(cls, line: dict) -> "EstimateSet":
-        """The estimates of a line written from :meth:`to_line`."""
+        """The estimates of a line written from :meth:`to_line`.
+
+        The estimates, the band's stages and the taps must be finite
+        numbers, and a tap set must not be empty.
+        """
         values = {f.name: line[f.name] for f in fields(cls)}
         for name in ("f0_hat", "tau_hat", "t0_hat", "residual_cfo"):
-            value = values[name]
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and math.isfinite(value)):
-                raise TypeError(f"{name} must be a finite number, got {value!r}")
+            _finite_number(name, values[name])
         band, taps = values["band"], values["eq_taps"]
         if band is not None:
-            stages = tuple(map(tuple, band["stages"]))
+            stages = _finite_pairs("band.stages", band["stages"])
             values["band"] = BandEstimate(band["b1"], band["b2"], stages)
         if taps is not None:
+            taps = _finite_pairs("eq_taps", taps)
+            if not taps:
+                raise ValueError("eq_taps must not be empty")
             values["eq_taps"] = np.array([complex(re, im) for re, im in taps])
         return cls(**values)
+
+
+def _finite_number(name: str, value) -> float:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value)):
+        raise TypeError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _finite_pairs(name: str, pairs) -> tuple[tuple[float, float], ...]:
+    """Unpacking raises TypeError or ValueError on anything but pairs."""
+    return tuple((_finite_number(name, a), _finite_number(name, b)) for a, b in pairs)
 
 
 def _unit_scale(z: np.ndarray) -> float:

@@ -200,6 +200,10 @@ def _load_estimates(args, n_records: int, methods) -> dict[tuple[int, str], tupl
                 if not isinstance(status, str):
                     raise TypeError(f"status must be str, got {status!r}")
                 estimates = blind.EstimateSet.from_line(line) if status == "ok" else None
+                if estimates is not None and line["method"] == "blind" and (
+                    estimates.band is None or estimates.eq_taps is None
+                ):
+                    raise ValueError("an ok blind line needs a band and eq_taps")
                 lines[line["signal_id"], line["method"]] = status, estimates
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"{args.estimates} line {number}: {exc!r}") from None

@@ -114,6 +114,7 @@ def decode_symbols(
     rotation is absorbed; each later symbol is corrected by e^(j e_f),
     sliced to the nearest constellation point, and the residual phase
     error arg(decision * conj(corrected)) updates the loop with gain 1/2.
+    A decision at the origin (OOK, ASK) carries no phase and updates nothing.
     """
     if not m.is_linear:
         raise NonLinearModulationError(f"cannot decode {m.value} symbols")
@@ -131,8 +132,9 @@ def decode_symbols(
         corrected = soft[k] * np.exp(1j * e_f)
         hard[k] = int(np.argmin(np.abs(corrected - points)))
         decoded[k] = points[hard[k]]
-        err = float(np.angle(decoded[k] * np.conj(corrected)))
-        e_f += PHASE_LOOP_GAIN * err
+        if decoded[k] != 0.0:  # an origin decision has no phase; arg(-0+0j) is pi
+            err = float(np.angle(decoded[k] * np.conj(corrected)))
+            e_f += PHASE_LOOP_GAIN * err
     return RecoveredSymbols(soft=soft, hard=hard, decoded=decoded)
 
 

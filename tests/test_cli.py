@@ -281,10 +281,20 @@ BROKEN_LINE_2 = {
     "status_not_str": edited(lambda line: line.update(status=5)),
     "estimate_not_number": edited(lambda line: line.update(f0_hat="x")),
     "estimate_too_large": edited(lambda line: line.update(t0_hat=10**400)),
+    "stages_not_numbers": edited(lambda line: line.update(
+        band={"b1": -0.1, "b2": 0.1, "stages": [["x", 1]]})),
+    "taps_empty": edited(lambda line: line.update(eq_taps=[])),
 }
+# These break line 1, record 0's blind line, which is ok on this dataset.
+BROKEN_LINE_1 = {
+    "blind_band_null": edited(lambda line: line.update(band=None)),
+    "blind_taps_null": edited(lambda line: line.update(eq_taps=None)),
+}
+BROKEN = {**{name: (2, edit) for name, edit in BROKEN_LINE_2.items()},
+          **{name: (1, edit) for name, edit in BROKEN_LINE_1.items()}}
 
 
-@pytest.mark.parametrize("mismatch", ["dataset", "missing_line", "n0_policy", *BROKEN_LINE_2])
+@pytest.mark.parametrize("mismatch", ["dataset", "missing_line", "n0_policy", *BROKEN])
 def test_decode_rejects_estimates_that_do_not_fit(tmp_path, small_dataset, capsys, mismatch):
     est = tmp_path / "est.jsonl"
     run("estimate", "--dataset", str(small_dataset), "--out", str(est),
@@ -300,7 +310,9 @@ def test_decode_rejects_estimates_that_do_not_fit(tmp_path, small_dataset, capsy
     elif mismatch == "n0_policy":
         extra = ["--n0", "estimated"]
     else:
-        lines[1] = BROKEN_LINE_2[mismatch](lines[1])
+        number, edit = BROKEN[mismatch]
+        assert json.loads(lines[number - 1])["status"] == "ok"
+        lines[number - 1] = edit(lines[number - 1])
         est.write_text("".join(lines))
     capsys.readouterr()
     out = tmp_path / "eval.jsonl"
@@ -309,8 +321,8 @@ def test_decode_rejects_estimates_that_do_not_fit(tmp_path, small_dataset, capsy
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
-    if mismatch in BROKEN_LINE_2:
-        assert f"{est} line 2:" in err
+    if mismatch in BROKEN:
+        assert f"{est} line {BROKEN[mismatch][0]}:" in err
 
 
 def test_decode_deterministic(tmp_path, small_dataset):

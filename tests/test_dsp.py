@@ -1,6 +1,6 @@
 import numpy as np
 
-from blindrx.dsp import interpolate_at, resample_to_sps
+from blindrx.dsp import _FARROW_TABLE, _kernel, interpolate_at, resample_to_sps
 from blindrx.generator import make_rng
 
 
@@ -48,3 +48,23 @@ def test_resample_to_sps_matches_numpy_i0_kernel():
 def test_interpolate_at_integer_positions_are_samples():
     x = make_rng(82).standard_normal(64).astype(np.complex128)
     np.testing.assert_allclose(interpolate_at(x, np.arange(64.0)), x, atol=1e-12)
+
+
+def test_farrow_table_matches_kernel():
+    mu = np.linspace(0.0, 1.0, 20001)[:-1]
+    fitted = np.polynomial.polynomial.polyval(2.0 * mu - 1.0, _FARROW_TABLE.T)
+    exact = _kernel(mu - np.arange(-7, 9)[:, None])
+    assert np.max(np.abs(fitted - exact)) <= 1e-14
+
+
+def test_interpolate_at_long_record_dense_and_sparse():
+    rng = make_rng(83)
+    x = rng.standard_normal(8192) + 1j * rng.standard_normal(8192)
+    # a Gardner-style call: every position at 64 samples/symbol, tau 4.1
+    stride = 4.1 / 64.0
+    dense = np.arange(int(np.floor(8191 / stride)) + 1) * stride
+    # a symbol_resample-style call: one position per symbol, tau 12
+    sparse = (5 + 64 * np.arange(681)) * (12.0 / 64.0)
+    for positions in (dense, sparse):
+        got = interpolate_at(x, positions)
+        assert np.max(np.abs(got - reference_interpolate_at(x, positions))) <= 1e-13

@@ -284,3 +284,13 @@ def test_decode_packet_clamps_tau_for_the_resampler():
     soft = symbol_resample(recovered, timing_tau(estimates.tau_hat), estimates.t0_hat)
     decoded = decode_symbols(soft, rec.modulation, rec.symbols.values[0])
     assert decode_packet(rec, recovered, estimates) == ser(decoded, rec.symbols)
+
+
+def test_decode_packet_ook_origin_decision_keeps_the_loop():
+    # A decision at OOK's origin point gives arg(-0+0j) = pi for a corrected
+    # symbol with a negative real part; updating the loop with it turned this
+    # record's phase a quarter-turn at symbol 15 (SER 0.331).
+    spec = DatasetSpec(count=1, seed=4242, snr_levels_db=(20.0,),
+                       modulations=(ModulationType.OOK,))
+    rec = generate_one(spec, 0)
+    assert decode_packet(rec, genie_output(rec), genie_chain(rec)) == 0.0
