@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
 
-from .dsp import frequency_shift, lowpass, mean_power, resample_to_sps
+from .dsp import INTERP_HALF_WIDTH, frequency_shift, lowpass, mean_power, resample_to_sps
 from .errors import (
     CmaDivergenceError,
     InvalidBandwidthError,
@@ -311,7 +311,7 @@ def gardner_timing(z: np.ndarray, tau_hat: float) -> TimingEstimate:
     p = TIMING_SPS
     zi = resample_to_sps(z, tau_hat, p)
     # drop samples whose interpolation kernel saw zero padding
-    guard = int(np.ceil(8.0 * p / tau_hat))
+    guard = int(np.ceil(INTERP_HALF_WIDTH * p / tau_hat))
     zi = zi[guard : zi.size - guard]
     if zi.size < 3 * p:
         raise SignalTooShortError(

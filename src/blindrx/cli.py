@@ -172,7 +172,7 @@ def _decode_worker(args) -> list[dict]:
         )
         scores.recon_loss = metrics.phase_invariant_loss(recovered, z2)
         if record.modulation not in decode_mods or not record.modulation.is_linear:
-            scores.status = "not_decoded"
+            scores.status = metrics.NOT_DECODED
             continue
         try:
             scores.ser = recovery.decode_packet(record, recovered, estimates)
@@ -181,32 +181,47 @@ def _decode_worker(args) -> list[dict]:
     return [asdict(scores) for scores in results]
 
 
+def _read_jsonl(path, parse) -> list:
+    """``parse`` of each line's JSON value; a line it rejects raises
+    ValueError naming the file and line."""
+    parsed = []
+    with open(path) as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                parsed.append(parse(json.loads(raw)))
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path} line {number}: {exc!r}") from None
+    return parsed
+
+
 def _load_estimates(args, n_records: int, methods) -> dict[tuple[int, str], tuple]:
     """(status, EstimateSet of an ``ok`` line or None) by (record, method),
     from lines stamped with this dataset and, if ``--n0`` is given, that
-    policy; anything else raises ValueError naming the file (and line)."""
+    policy; anything else, or a second line for a (record, method), raises
+    ValueError naming the file (and line)."""
     stamp = {"dataset_sha256": dataset_fingerprint(args.dataset)}
     if args.n0 is not None:
         stamp["n0_policy"] = args.n0
     lines = {}
-    with open(args.estimates) as fh:
-        for number, raw in enumerate(fh, start=1):
-            try:
-                line = json.loads(raw)
-                found = {key: line.get(key) for key in stamp}
-                if found != stamp:
-                    raise ValueError(f"stamp {found} != {stamp}")
-                status = line["status"]
-                if not isinstance(status, str):
-                    raise TypeError(f"status must be str, got {status!r}")
-                estimates = blind.EstimateSet.from_line(line) if status == "ok" else None
-                if estimates is not None and line["method"] == "blind" and (
-                    estimates.band is None or estimates.eq_taps is None
-                ):
-                    raise ValueError("an ok blind line needs a band and eq_taps")
-                lines[line["signal_id"], line["method"]] = status, estimates
-            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise ValueError(f"{args.estimates} line {number}: {exc!r}") from None
+
+    def parse(line):
+        found = {key: line.get(key) for key in stamp}
+        if found != stamp:
+            raise ValueError(f"stamp {found} != {stamp}")
+        key = line["signal_id"], line["method"]
+        if key in lines:
+            raise ValueError(f"a second line for (record, method) {key}")
+        status = line["status"]
+        if not isinstance(status, str):
+            raise TypeError(f"status must be str, got {status!r}")
+        estimates = blind.EstimateSet.from_line(line) if status == "ok" else None
+        if estimates is not None and key[1] == "blind" and (
+            estimates.band is None or estimates.eq_taps is None
+        ):
+            raise ValueError("an ok blind line needs a band and eq_taps")
+        lines[key] = status, estimates
+
+    _read_jsonl(args.estimates, parse)
     for key in itertools.product(range(n_records), methods):
         if key not in lines:
             raise ValueError(f"{args.estimates}: no line for (record, method) {key}")
@@ -235,17 +250,6 @@ def cmd_decode(args) -> int:
 # ------------------------------------------------------------------- report
 
 
-def _load_eval_records(path) -> list[metrics.EvalRecord]:
-    records = []
-    with open(path) as fh:
-        for number, raw in enumerate(fh, start=1):
-            try:
-                records.append(metrics.EvalRecord(**json.loads(raw)))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path} line {number}: {exc}") from None
-    return records
-
-
 MAE_COLUMNS = (
     "method", "snr_db", "count", "mae_f0", "mae_tau", "mae_t0", "mean_recon_loss"
 )
@@ -253,46 +257,33 @@ PER_COLUMNS = ("method", "modulation", "snr_db", "count", "per")
 SER_CDF_COLUMNS = ("method", "modulation", "snr_db", "ser", "cumulative_fraction")
 
 
-def _cell(value):
-    """CSV text of one value: strings and counts as they are, floats by repr."""
-    if value is None:
-        return ""
-    if isinstance(value, (str, int)):
-        return value
-    return repr(float(value))
-
-
 def _write_csv(path, columns, rows) -> None:
     """One report table; each row lists its values in ``columns`` order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([_cell(value) for value in row] for row in rows)
+        writer.writerows(rows)
 
 
 def cmd_report(args) -> int:
-    records = _load_eval_records(args.records)
+    records = _read_jsonl(args.records, lambda line: metrics.EvalRecord(**line))
     buckets = _parse_snr(args.snr) or DISCRETE_SNRS_DB
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    rows = metrics.aggregate(records, buckets)
     if not records:
         print("warning: no evaluation records; emitting empty tables", file=sys.stderr)
-    rows = metrics.aggregate(records, buckets) if records else []
-    decodable = [r for r in records if r.status != "not_decoded"]
-    per_rows = metrics.aggregate(decodable, buckets) if decodable else []
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
+    decoded = {r.modulation for r in records if r.status != metrics.NOT_DECODED}
     mae = ([getattr(r, c) for c in MAE_COLUMNS] for r in rows if r.modulation == "*")
-    per = ([getattr(r, c) for c in PER_COLUMNS] for r in per_rows if r.modulation != "*")
-    cdf = ([r.method, r.modulation, r.snr_db, *point] for r in per_rows for point in r.ser_cdf)
+    per = ([r.method, r.modulation, r.snr_db, r.packets, r.per]
+           for r in rows if r.modulation in decoded)
+    cdf = ([r.method, r.modulation, r.snr_db, *point] for r in rows for point in r.ser_cdf)
     _write_csv(out / "mae_vs_snr.csv", MAE_COLUMNS, mae)
     _write_csv(out / "per_vs_snr.csv", PER_COLUMNS, per)
     _write_csv(out / "ser_cdf.csv", SER_CDF_COLUMNS, cdf)
 
-    bundle = {
-        "snr_buckets_db": list(buckets),
-        "mae": [asdict(r) for r in rows],
-        "per": [asdict(r) for r in per_rows],
-    }
+    bundle = {"snr_buckets_db": list(buckets), "mae": [asdict(r) for r in rows]}
     with open(out / "report.json", "w") as fh:
         json.dump(bundle, fh, sort_keys=True, separators=(",", ":"))
     print(f"wrote report tables to {out}")

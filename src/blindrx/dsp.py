@@ -8,7 +8,7 @@ from numpy.polynomial import chebyshev
 from scipy import signal as sp_signal
 
 LOWPASS_TAPS = 65
-_INTERP_HALF_WIDTH = 8
+INTERP_HALF_WIDTH = 8
 _INTERP_KAISER_BETA = 8.0
 _FARROW_DEGREE = 16
 
@@ -37,7 +37,7 @@ def mean_power(x: np.ndarray) -> float:
 
 def _kernel(d: np.ndarray) -> np.ndarray:
     """The interpolation kernel: a sinc under a Kaiser window of half-width 8."""
-    inside = np.clip(1.0 - (d / _INTERP_HALF_WIDTH) ** 2, 0.0, None)
+    inside = np.clip(1.0 - (d / INTERP_HALF_WIDTH) ** 2, 0.0, None)
     window = np.i0(_INTERP_KAISER_BETA * np.sqrt(inside)) / np.i0(_INTERP_KAISER_BETA)
     return np.sinc(d) * window
 
@@ -46,7 +46,7 @@ def _farrow_table() -> np.ndarray:
     """Row j: the coefficients of powers of t = 2*mu - 1 that fit the kernel
     at mu - (j - 7), mu in [0, 1); one Chebyshev least-squares solve fits all."""
     t = np.cos(np.pi * (np.arange(4 * _FARROW_DEGREE) + 0.5) / (4 * _FARROW_DEGREE))
-    offsets = np.arange(-_INTERP_HALF_WIDTH + 1, _INTERP_HALF_WIDTH + 1)
+    offsets = np.arange(-INTERP_HALF_WIDTH + 1, INTERP_HALF_WIDTH + 1)
     targets = _kernel((t[:, None] + 1.0) / 2.0 - offsets)
     vander = chebyshev.chebvander(t, _FARROW_DEGREE)
     fitted = np.linalg.lstsq(vander, targets, rcond=None)[0]
@@ -74,11 +74,11 @@ def interpolate_at(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     t = 2.0 * (positions - base) - 1.0
     # one dtype on both sides of the product keeps it on the BLAS path
     table = _FARROW_TABLE.astype(np.result_type(x, _FARROW_TABLE))
-    pad = 2 * _INTERP_HALF_WIDTH
+    pad = 2 * INTERP_HALF_WIDTH
     windows = sliding_window_view(np.pad(x.astype(table.dtype, copy=False), pad), pad)
     # window r holds x[r - 16 : r], the kernel's support at base r - 9; the
     # first and the last window hold only padding, so farther probes clip there
-    rows = np.clip(base + pad - _INTERP_HALF_WIDTH + 1, 0, len(windows) - 1).astype(np.int64)
+    rows = np.clip(base + pad - INTERP_HALF_WIDTH + 1, 0, len(windows) - 1).astype(np.int64)
     needed = np.flatnonzero(np.bincount(rows, minlength=len(windows)))
     bank = np.empty((table.shape[1], len(windows)), table.dtype)
     bank[:, needed] = (windows[needed] @ table).T

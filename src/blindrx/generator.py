@@ -103,6 +103,8 @@ class DatasetSpec:
         self.modulations = tuple(self.modulations)
         if self.snr_levels_db is not None:
             self.snr_levels_db = tuple(float(s) for s in self.snr_levels_db)
+            if any(math.isnan(s) or s == -math.inf for s in self.snr_levels_db):
+                raise ValueError(f"SNR levels must be dB or inf, got {self.snr_levels_db}")
 
 
 @dataclass
@@ -195,11 +197,13 @@ def add_awgn(x: np.ndarray, snr_db: float | None, rng) -> tuple[np.ndarray, floa
 
     ``snr_db=None`` (or +inf) is the noise-free flag: the input is returned
     untouched with N0 = 0. Otherwise the per-sample noise variance is
-    N0 = mean_power(x) / 10**(snr_db / 10).
+    N0 = mean_power(x) / 10**(snr_db / 10); NaN and -inf raise ValueError.
     """
     x = np.asarray(x)
-    if snr_db is None or math.isinf(snr_db):
+    if snr_db is None or snr_db == math.inf:
         return x.copy(), 0.0
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be a dB value, inf or None, got {snr_db}")
     power = mean_power(x)
     if power <= 0.0:
         raise ZeroPowerSignalError("cannot set an SNR for a zero-power signal")

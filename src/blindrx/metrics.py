@@ -8,6 +8,7 @@ error rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -22,6 +23,8 @@ from .generator import TxParams
 FAILED_F0_ERROR = 0.02
 FAILED_TAU_ERROR = 12.0
 FAILED_T0_ERROR = 0.5
+# status of a record whose modulation is not decoded: it is no packet
+NOT_DECODED = "not_decoded"
 
 
 @dataclass
@@ -61,6 +64,7 @@ class AggregateRow:
     mae_tau: float | None
     mae_t0: float | None
     mean_recon_loss: float | None
+    packets: int
     per: float | None
     ser_cdf: list[tuple[float, float]] = field(default_factory=list)
 
@@ -125,34 +129,27 @@ def _bucket(snr_db: float, buckets: tuple[float, ...]) -> float:
     return min(buckets, key=lambda b: abs(b - snr_db))
 
 
-def _sort_key(r: EvalRecord):
-    # canonical member order makes the float reductions exactly
-    # permutation-invariant
-    return (
-        r.signal_id,
-        r.abs_f0_err,
-        r.abs_tau_err,
-        r.circ_t0_err,
-        -1.0 if r.ser is None else r.ser,
-        -1.0 if r.recon_loss is None else r.recon_loss,
-        r.status,
-    )
-
-
 def _mean(values) -> float | None:
-    return float(np.mean(values)) if values else None
+    # an exactly rounded sum does not depend on the order of the members
+    return math.fsum(values) / len(values) if values else None
 
 
 def aggregate(records, snr_buckets) -> list[AggregateRow]:
     """Group records by (method, SNR bucket, modulation) and reduce.
 
     Every method/bucket combination additionally gets an all-modulations
-    row with modulation set to ``"*"``. Output order is deterministic.
+    row with modulation set to ``"*"``. ``count``, the MAEs and the mean
+    loss cover every member; ``per`` covers the ``packets`` members whose
+    decoding was attempted or whose chain failed (every status but
+    ``NOT_DECODED``). Output order is deterministic, and no row depends on
+    the order of ``records``.
     """
     records = list(records)
     buckets = tuple(sorted(float(b) for b in snr_buckets))
     if not buckets:
         raise ValueError("need at least one SNR bucket")
+    if not all(math.isfinite(b) for b in buckets):
+        raise ValueError(f"SNR buckets must be finite dB values, got {buckets}")
     groups: dict[tuple[str, float, str], list[EvalRecord]] = {}
     for r in records:
         b = _bucket(r.snr_db, buckets)
@@ -165,9 +162,8 @@ def aggregate(records, snr_buckets) -> list[AggregateRow]:
     for method in methods:
         for bucket in buckets:
             for modulation in modulations:
-                members = sorted(
-                    groups.get((method, bucket, modulation), []), key=_sort_key
-                )
+                members = groups.get((method, bucket, modulation), [])
+                packets = [r for r in members if r.status != NOT_DECODED]
                 losses = [r.recon_loss for r in members if r.recon_loss is not None]
                 sers = [r.ser for r in members if r.ser is not None]
                 rows.append(
@@ -180,7 +176,8 @@ def aggregate(records, snr_buckets) -> list[AggregateRow]:
                         mae_tau=_mean([r.abs_tau_err for r in members]),
                         mae_t0=_mean([r.circ_t0_err for r in members]),
                         mean_recon_loss=_mean(losses),
-                        per=per(members) if members else None,
+                        packets=len(packets),
+                        per=per(packets) if packets else None,
                         ser_cdf=ser_cdf(sers) if sers else [],
                     )
                 )

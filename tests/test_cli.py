@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -82,6 +83,21 @@ def test_generate_modulation_subset(tmp_path):
         "--seed", "4", "--nr", "512", "--mods", "bpsk,qpsk")
     meta = read_meta(tmp_path / "mods")
     assert {r["modulation"] for r in meta["records"]} <= {"bpsk", "qpsk"}
+
+
+@pytest.mark.parametrize("snr", ["--snr=-inf", "--snr=nan", "--snr=10,nan"])
+def test_generate_rejects_nan_and_minus_inf_snr(tmp_path, capsys, snr):
+    out = tmp_path / "x"
+    assert run("generate", "--out", str(out), "--count", "4", snr) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (out / "meta.json").exists()
+
+
+def test_generate_plus_inf_snr_is_noise_free(tmp_path):
+    out = tmp_path / "clean"
+    assert run("generate", "--out", str(out), "--count", "4", "--nr", "512",
+               "--snr", "inf") == 0
+    assert {r["n0"] for r in read_meta(out)["records"]} == {0.0}
 
 
 def test_missing_required_flag_exits_one(tmp_path):
@@ -294,7 +310,8 @@ BROKEN = {**{name: (2, edit) for name, edit in BROKEN_LINE_2.items()},
           **{name: (1, edit) for name, edit in BROKEN_LINE_1.items()}}
 
 
-@pytest.mark.parametrize("mismatch", ["dataset", "missing_line", "n0_policy", *BROKEN])
+@pytest.mark.parametrize(
+    "mismatch", ["dataset", "missing_line", "n0_policy", "duplicate", *BROKEN])
 def test_decode_rejects_estimates_that_do_not_fit(tmp_path, small_dataset, capsys, mismatch):
     est = tmp_path / "est.jsonl"
     run("estimate", "--dataset", str(small_dataset), "--out", str(est),
@@ -309,6 +326,8 @@ def test_decode_rejects_estimates_that_do_not_fit(tmp_path, small_dataset, capsy
         est.write_text("".join(lines[:-1]))
     elif mismatch == "n0_policy":
         extra = ["--n0", "estimated"]
+    elif mismatch == "duplicate":
+        est.write_text("".join(lines * 2))
     else:
         number, edit = BROKEN[mismatch]
         assert json.loads(lines[number - 1])["status"] == "ok"
@@ -323,6 +342,8 @@ def test_decode_rejects_estimates_that_do_not_fit(tmp_path, small_dataset, capsy
     assert err.startswith("configuration error:")
     if mismatch in BROKEN:
         assert f"{est} line {BROKEN[mismatch][0]}:" in err
+    if mismatch == "duplicate":
+        assert f"{est} line {len(lines) + 1}: ValueError(\"a second line" in err
 
 
 def test_decode_deterministic(tmp_path, small_dataset):
@@ -373,6 +394,42 @@ def test_report_mixed_methods_and_idempotent(tmp_path, small_dataset):
     payload = json.loads((out_a / "report.json").read_text())
     methods = {row["method"] for row in payload["mae"]}
     assert methods == {"blind", "genie"}
+
+
+def test_report_states_each_row_once(tmp_path, small_dataset):
+    # qpsk is not decoded here: its records are in the MAE rows but no packets
+    est, eval_path = tmp_path / "est.jsonl", tmp_path / "eval.jsonl"
+    run("estimate", "--dataset", str(small_dataset), "--out", str(est), "--method", "both")
+    assert run("decode", "--dataset", str(small_dataset), "--estimates", str(est),
+               "--out", str(eval_path), "--method", "both", "--mods", "bpsk") == 0
+    out = tmp_path / "report"
+    assert run("report", "--records", str(eval_path), "--out", str(out), "--snr", "20") == 0
+    bundle = json.loads((out / "report.json").read_text())
+    assert set(bundle) == {"snr_buckets_db", "mae"}
+    rows = {(r["method"], r["snr_db"], r["modulation"]): r for r in bundle["mae"]}
+    assert len(rows) == len(bundle["mae"]) == 2 * 3
+    with open(out / "per_vs_snr.csv", newline="") as fh:
+        table = {(r["method"], float(r["snr_db"]), r["modulation"]): r
+                 for r in csv.DictReader(fh)}
+    assert {key[2] for key in table} == {"bpsk"}
+    for key, row in rows.items():
+        if key[2] == "*":
+            assert (row["count"], row["packets"]) == (12, rows[key[:2] + ("bpsk",)]["packets"])
+        elif key in table:
+            assert (float(table[key]["per"]), int(table[key]["count"])) == (
+                row["per"], row["packets"])
+        else:
+            assert (row["per"], row["packets"]) == (None, 0)
+
+
+@pytest.mark.parametrize("snr", ["nan", "inf", "10,-inf"])
+def test_report_rejects_non_finite_buckets(tmp_path, capsys, snr):
+    eval_path = tmp_path / "empty.jsonl"
+    eval_path.write_text("")
+    out = tmp_path / "report"
+    assert run("report", "--records", str(eval_path), "--out", str(out), "--snr", snr) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", [

@@ -245,9 +245,10 @@ def test_cfo_preserves_magnitude():
 
 def test_awgn_infinite_snr_identity():
     x = np.ones(64, dtype=np.complex128)
-    out, n0 = add_awgn(x, None, make_rng(1))
-    assert np.array_equal(out, x)
-    assert n0 == 0.0
+    for snr_db in (None, math.inf):
+        out, n0 = add_awgn(x, snr_db, make_rng(1))
+        assert np.array_equal(out, x)
+        assert n0 == 0.0
 
 
 def test_awgn_zero_db_power_ratio():
@@ -264,6 +265,14 @@ def test_awgn_deterministic():
     a, _ = add_awgn(x, 10.0, make_rng(3))
     b, _ = add_awgn(x, 10.0, make_rng(3))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_awgn_rejects_nan_and_minus_inf(snr_db):
+    with pytest.raises(ValueError):
+        add_awgn(np.ones(16, dtype=np.complex128), snr_db, make_rng(4))
+    with pytest.raises(ValueError):
+        DatasetSpec(count=1, snr_levels_db=(10.0, snr_db))
 
 
 def test_awgn_zero_power_rejected():

@@ -202,8 +202,34 @@ def test_aggregate_empty_bucket_emitted():
     rows = aggregate(records, (0.0, 20.0))
     empty = next(r for r in rows if r.snr_db == 20.0 and r.modulation == "*")
     assert empty.count == 0
+    assert empty.packets == 0
     assert empty.mae_f0 is None
     assert empty.per is None
+
+
+def test_aggregate_per_counts_only_packets():
+    records = [
+        make_record(ser=0.0, status="ok"),
+        make_record(signal_id=1, ser=None, status="not_decoded", abs_f0_err=3e-3),
+    ]
+    for row in aggregate(records, (10.0,)):
+        assert (row.count, row.packets, row.per) == (2, 1, 0.0)
+        assert row.mae_f0 == pytest.approx(2e-3)
+
+
+def test_aggregate_not_decoded_only_has_no_per():
+    records = [make_record(ser=None, status="not_decoded")]
+    row = next(r for r in aggregate(records, (10.0,)) if r.modulation == "*")
+    assert (row.count, row.packets, row.per, row.ser_cdf) == (1, 0, None, [])
+
+
+@pytest.mark.parametrize("bucket", [np.nan, np.inf, -np.inf])
+def test_aggregate_rejects_non_finite_buckets(bucket):
+    with pytest.raises(ValueError):
+        aggregate([make_record()], (10.0, bucket))
+    with pytest.raises(ValueError):
+        aggregate([], (bucket,))
+
 
 
 def test_aggregate_permutation_invariant():
