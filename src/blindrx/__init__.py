@@ -3,8 +3,6 @@
 from .blind import (
     BandEstimate,
     EstimateSet,
-    RateEstimate,
-    TimingEstimate,
     band_segment,
     blind_chain,
     cma_equalize,
@@ -43,7 +41,6 @@ from .modulation import (
     rrc_taps,
 )
 from .recovery import (
-    RecoveredSymbols,
     decode_packet,
     decode_symbols,
     genie_chain,

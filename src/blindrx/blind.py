@@ -9,7 +9,6 @@ constant-modulus equalizer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     NonFiniteInputError,
     SignalTooShortError,
     ZeroPowerSignalError,
+    finite_number,
 )
 
 STAGE1_FFT = 64
@@ -59,22 +59,6 @@ class BandEstimate:
 
 
 @dataclass
-class RateEstimate:
-    tau: float
-    peak_to_mean: float
-
-    @property
-    def low_confidence(self) -> bool:
-        return self.peak_to_mean < RATE_LOW_CONFIDENCE_RATIO
-
-
-@dataclass
-class TimingEstimate:
-    t0: float
-    crossing_found: bool
-
-
-@dataclass
 class EstimateSet:
     """Everything a recovery path needs to know about one signal."""
 
@@ -100,16 +84,24 @@ class EstimateSet:
     def from_line(cls, line: dict) -> "EstimateSet":
         """The estimates of a line written from :meth:`to_line`.
 
-        The estimates, the band's stages and the taps must be finite
-        numbers, and a tap set must not be empty.
+        The estimates, the band's edges and stages and the taps must be
+        finite numbers, a tap set must not be empty, and the diagnostics
+        must be an object.
         """
         values = {f.name: line[f.name] for f in fields(cls)}
         for name in ("f0_hat", "tau_hat", "t0_hat", "residual_cfo"):
-            _finite_number(name, values[name])
+            finite_number(name, values[name])
+        diagnostics = values["diagnostics"]
+        if not isinstance(diagnostics, dict):
+            raise TypeError(f"diagnostics must be an object, got {diagnostics!r}")
         band, taps = values["band"], values["eq_taps"]
         if band is not None:
             stages = _finite_pairs("band.stages", band["stages"])
-            values["band"] = BandEstimate(band["b1"], band["b2"], stages)
+            values["band"] = BandEstimate(
+                finite_number("band.b1", band["b1"]),
+                finite_number("band.b2", band["b2"]),
+                stages,
+            )
         if taps is not None:
             taps = _finite_pairs("eq_taps", taps)
             if not taps:
@@ -118,16 +110,9 @@ class EstimateSet:
         return cls(**values)
 
 
-def _finite_number(name: str, value) -> float:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value)):
-        raise TypeError(f"{name} must be a finite number, got {value!r}")
-    return value
-
-
 def _finite_pairs(name: str, pairs) -> tuple[tuple[float, float], ...]:
     """Unpacking raises TypeError or ValueError on anything but pairs."""
-    return tuple((_finite_number(name, a), _finite_number(name, b)) for a, b in pairs)
+    return tuple((finite_number(name, a), finite_number(name, b)) for a, b in pairs)
 
 
 def _unit_scale(z: np.ndarray) -> float:
@@ -271,13 +256,14 @@ def fine_cfo(z: np.ndarray, f0_coarse: float) -> float:
     return float(grid[best]) / 4.0
 
 
-def fine_symbol_rate(z: np.ndarray, bw_coarse: float) -> RateEstimate:
+def fine_symbol_rate(z: np.ndarray, bw_coarse: float) -> tuple[float, float]:
     """Refine samples-per-symbol from the squared-envelope spectral line.
 
     The coarse bandwidth is taken as the coarse symbol rate 1/tau_c; the
     search covers 100 equally spaced cycle frequencies from 0.85/tau_c to
-    1.15/tau_c inclusive. A peak-to-mean objective ratio below 3 marks the
-    estimate low-confidence (constant-envelope inputs land here).
+    1.15/tau_c inclusive. Returns ``(tau, peak_to_mean)``: the peak-to-mean
+    ratio of the objective, which below ``RATE_LOW_CONFIDENCE_RATIO`` marks
+    the estimate low-confidence (constant-envelope inputs land there).
     """
     z = np.asarray(z)
     if bw_coarse <= 0.0:
@@ -286,8 +272,7 @@ def fine_symbol_rate(z: np.ndarray, bw_coarse: float) -> RateEstimate:
         RATE_WINDOW[0] * bw_coarse, RATE_WINDOW[1] * bw_coarse, RATE_GRID_POINTS
     )
     best, objective = _line_search(np.abs(z) ** 2, grid)
-    peak_to_mean = float(objective[best] / np.mean(objective))
-    return RateEstimate(tau=1.0 / float(grid[best]), peak_to_mean=peak_to_mean)
+    return 1.0 / float(grid[best]), float(objective[best] / np.mean(objective))
 
 
 def timing_tau(tau_hat: float) -> float:
@@ -295,7 +280,7 @@ def timing_tau(tau_hat: float) -> float:
     return float(np.clip(tau_hat, *GARDNER_TAU_LIMITS))
 
 
-def gardner_timing(z: np.ndarray, tau_hat: float) -> TimingEstimate:
+def gardner_timing(z: np.ndarray, tau_hat: float) -> tuple[float, bool]:
     """Estimate the symbol-fraction timing offset with a Gardner detector.
 
     The signal is resampled to 64 samples per symbol, the per-sample
@@ -303,7 +288,8 @@ def gardner_timing(z: np.ndarray, tau_hat: float) -> TimingEstimate:
     into one symbol period, and the zero down-crossing of the averaged
     real part is located by linear interpolation. The down-crossing sits
     mid-transition, half a period after the symbol peak, so the returned
-    offset is shifted by P/2.
+    offset is shifted by P/2. Returns ``(t0, crossing_found)``; without a
+    usable crossing it is ``(0.0, False)``.
     """
     if not GARDNER_TAU_LIMITS[0] <= tau_hat <= GARDNER_TAU_LIMITS[1]:
         raise ValueError(f"tau_hat {tau_hat} outside {GARDNER_TAU_LIMITS}")
@@ -330,13 +316,12 @@ def gardner_timing(z: np.ndarray, tau_hat: float) -> TimingEstimate:
     nxt = np.roll(profile, -1)
     crossings = np.flatnonzero((profile >= 0.0) & (nxt < 0.0))
     if crossings.size == 0 or swing <= 1e-3 * mean_power(zi):
-        return TimingEstimate(t0=0.0, crossing_found=False)
+        return 0.0, False
     drops = profile[crossings] - nxt[crossings]
     idx = crossings[int(np.argmax(drops))]
     frac = profile[idx] / (profile[idx] - nxt[idx])
     crossing = idx + frac
-    t0 = ((crossing - half) % p) / p
-    return TimingEstimate(t0=float(t0), crossing_found=True)
+    return float(((crossing - half) % p) / p), True
 
 
 def cma_equalize(z: np.ndarray, step: float = CMA_STEP) -> np.ndarray:
@@ -414,20 +399,20 @@ def blind_chain(y: np.ndarray, n0: float | None = None) -> EstimateSet:
     x2 = frequency_shift(x1, -residual)
     f0_hat = band.center + residual
 
-    rate = fine_symbol_rate(x2, 2.0 * band.halfwidth)
-    tau_for_timing = timing_tau(rate.tau)
-    timing = gardner_timing(x2, tau_for_timing)
+    tau_hat, peak_to_mean = fine_symbol_rate(x2, 2.0 * band.halfwidth)
+    tau_for_timing = timing_tau(tau_hat)
+    t0_hat, crossing_found = gardner_timing(x2, tau_for_timing)
     return EstimateSet(
         f0_hat=float(f0_hat),
-        tau_hat=float(rate.tau),
-        t0_hat=float(timing.t0),
+        tau_hat=tau_hat,
+        t0_hat=t0_hat,
         eq_taps=cma_equalize(x2),
         band=band,
         diagnostics={
-            "rate_peak_to_mean": rate.peak_to_mean,
-            "rate_low_confidence": rate.low_confidence,
-            "timing_crossing_found": timing.crossing_found,
-            "tau_clipped_for_timing": tau_for_timing != rate.tau,
+            "rate_peak_to_mean": peak_to_mean,
+            "rate_low_confidence": peak_to_mean < RATE_LOW_CONFIDENCE_RATIO,
+            "timing_crossing_found": crossing_found,
+            "tau_clipped_for_timing": tau_for_timing != tau_hat,
         },
         residual_cfo=residual,
     )

@@ -4,7 +4,21 @@ Every error derives from :class:`BlindRxError` so batch drivers can catch
 one base class, record the failure, and keep going. Errors raised by the
 blind chain name the failing step in ``stage``: a class default where the
 error has one source, or the ``stage`` argument where it has several.
+:func:`finite_number` is the one check every artifact reader applies to a
+number it reads back.
 """
+
+import math
+
+
+def finite_number(name: str, value, allow_inf: bool = False):
+    """``value`` if it is a finite int or float (not a bool), or +inf where
+    ``allow_inf``; anything else raises TypeError naming ``name``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and (math.isfinite(value) or (allow_inf and value == math.inf))):
+        wanted = "a finite number or +inf" if allow_inf else "a finite number"
+        raise TypeError(f"{name} must be {wanted}, got {value!r}")
+    return value
 
 
 class BlindRxError(Exception):

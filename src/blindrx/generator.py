@@ -36,6 +36,7 @@ from .errors import (
     SignalTooShortError,
     TruncatedFileError,
     ZeroPowerSignalError,
+    finite_number,
 )
 from .modulation import (
     ModulationType,
@@ -421,14 +422,25 @@ def dataset_fingerprint(path) -> str:
 
 
 def read_meta(path) -> dict:
-    """Load only the label table of a dataset directory."""
-    with open(Path(path) / "meta.json") as fh:
+    """Load only the label table of a dataset directory.
+
+    Every scalar label must be a finite number (``snr_db`` may also be
+    +inf); a record that breaks this raises ValueError naming it.
+    """
+    meta_path = Path(path) / "meta.json"
+    with open(meta_path) as fh:
         meta = json.load(fh)
     if meta.get("format_version") != DATASET_FORMAT_VERSION:
         raise FormatVersionMismatchError(
             f"dataset format {meta.get('format_version')!r}, "
             f"expected {DATASET_FORMAT_VERSION}"
         )
+    for index, record in enumerate(meta["records"]):
+        for name in (*_SCALAR_PARAMS, "n0"):
+            try:
+                finite_number(name, record.get(name), allow_inf=name == "snr_db")
+            except TypeError as exc:
+                raise ValueError(f"{meta_path} record {index}: {exc}") from None
     return meta
 
 

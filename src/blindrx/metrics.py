@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .blind import EstimateSet
-from .errors import EmptyOverlapError, EmptySetError, LengthMismatchError
+from .errors import EmptySetError, LengthMismatchError, finite_number
 from .generator import TxParams
 
 # Scores assigned to records whose blind chain failed outright: the worst
@@ -43,14 +43,17 @@ class EvalRecord:
     status: str = "ok"
 
     def __post_init__(self) -> None:
-        # each value must match its annotation: a float field also takes an
-        # int, and only the "| None" fields take None
+        # each value must match its annotation: a float field takes a finite
+        # int or float (snr_db also +inf, a noise-free record), and only the
+        # "| None" fields take None
         for f in fields(self):
             value = getattr(self, f.name)
-            kind = {"int": int, "str": str}.get(f.type, (int, float))
+            kind = {"int": int, "str": str}.get(f.type)
             if value is None and f.type.endswith("| None"):
                 continue
-            if isinstance(value, bool) or not isinstance(value, kind):
+            if kind is None:
+                finite_number(f.name, value, allow_inf=f.name == "snr_db")
+            elif isinstance(value, bool) or not isinstance(value, kind):
                 raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
 
 
@@ -126,6 +129,9 @@ def per(records) -> float:
 
 
 def _bucket(snr_db: float, buckets: tuple[float, ...]) -> float:
+    """The nearest of the ascending ``buckets``; +inf (noise-free) is the top one."""
+    if snr_db == math.inf:
+        return buckets[-1]
     return min(buckets, key=lambda b: abs(b - snr_db))
 
 

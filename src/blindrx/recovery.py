@@ -7,8 +7,6 @@ blind and the genie path alike, so both are scored by the same machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blind import TIMING_SPS, EstimateSet, GARDNER_TAU_LIMITS, timing_tau
@@ -24,18 +22,6 @@ from .modulation import ModulationType, SymbolSequence, constellation
 
 PHASE_LOOP_GAIN = 0.5
 GENIE_LPF_MARGIN = 1.1
-
-
-@dataclass
-class RecoveredSymbols:
-    """Soft symbols with their hard decisions and decoded points."""
-
-    soft: np.ndarray
-    hard: np.ndarray
-    decoded: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.soft.size)
 
 
 def genie_equalize(z: np.ndarray, channel: np.ndarray, n0: float) -> np.ndarray:
@@ -106,7 +92,7 @@ def symbol_resample(z: np.ndarray, tau_hat: float, t0_hat: float) -> np.ndarray:
 
 def decode_symbols(
     soft: np.ndarray, m: ModulationType, first_symbol: complex
-) -> RecoveredSymbols:
+) -> np.ndarray:
     """Decision-directed decoding with a first-order phase tracking loop.
 
     The loop phase is seeded from the known first symbol,
@@ -115,6 +101,7 @@ def decode_symbols(
     sliced to the nearest constellation point, and the residual phase
     error arg(decision * conj(corrected)) updates the loop with gain 1/2.
     A decision at the origin (OOK, ASK) carries no phase and updates nothing.
+    Returns the int64 constellation index of each decision.
     """
     if not m.is_linear:
         raise NonLinearModulationError(f"cannot decode {m.value} symbols")
@@ -124,32 +111,28 @@ def decode_symbols(
     points = constellation(m)
 
     hard = np.empty(soft.size, dtype=np.int64)
-    decoded = np.empty(soft.size, dtype=np.complex128)
     e_f = float(np.angle(first_symbol * np.conj(soft[0])))
     hard[0] = int(np.argmin(np.abs(soft[0] * np.exp(1j * e_f) - points)))
-    decoded[0] = points[hard[0]]
     for k in range(1, soft.size):
         corrected = soft[k] * np.exp(1j * e_f)
         hard[k] = int(np.argmin(np.abs(corrected - points)))
-        decoded[k] = points[hard[k]]
-        if decoded[k] != 0.0:  # an origin decision has no phase; arg(-0+0j) is pi
-            err = float(np.angle(decoded[k] * np.conj(corrected)))
+        decision = points[hard[k]]
+        if decision != 0.0:  # an origin decision has no phase; arg(-0+0j) is pi
+            err = float(np.angle(decision * np.conj(corrected)))
             e_f += PHASE_LOOP_GAIN * err
-    return RecoveredSymbols(soft=soft, hard=hard, decoded=decoded)
+    return hard
 
 
-def ser(recovered: RecoveredSymbols, truth: SymbolSequence) -> float:
-    """Symbol error rate over the overlapping positions.
+def ser(hard: np.ndarray, truth: SymbolSequence) -> float:
+    """Symbol error rate of decision indices ``hard`` against the truth.
 
     Position 0 is excluded (the decoder was given that symbol); the
-    comparison runs over min(len(recovered), len(truth)) indices.
+    comparison runs over min(len(hard), len(truth)) indices.
     """
-    n = min(len(recovered), len(truth))
+    n = min(len(hard), len(truth))
     if n <= 1:
         raise EmptyOverlapError("need at least two overlapping symbols")
-    mismatches = np.count_nonzero(
-        recovered.hard[1:n] != truth.indices[1:n]
-    )
+    mismatches = np.count_nonzero(hard[1:n] != truth.indices[1:n])
     return float(mismatches) / float(n - 1)
 
 
@@ -159,5 +142,5 @@ def decode_packet(
     """SER of ``recovered`` sampled at the estimated timing (tau clamped by
     ``timing_tau``) and decoded from the first labelled symbol."""
     soft = symbol_resample(recovered, timing_tau(estimates.tau_hat), estimates.t0_hat)
-    decoded = decode_symbols(soft, truth.modulation, truth.symbols.values[0])
-    return ser(decoded, truth.symbols)
+    hard = decode_symbols(soft, truth.modulation, truth.symbols.values[0])
+    return ser(hard, truth.symbols)

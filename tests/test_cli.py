@@ -207,6 +207,28 @@ def test_estimate_deterministic(tmp_path, small_dataset):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("label, value", [
+    ("tau", "x"), ("f0", float("nan")), ("snr_db", -float("inf")), ("n0", None),
+])
+def test_mistyped_label_is_config_error(tmp_path, small_dataset, capsys, label, value):
+    est = tmp_path / "est.jsonl"
+    assert run("estimate", "--dataset", str(small_dataset), "--out", str(est),
+               "--method", "genie") == 0
+    meta_path = small_dataset / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["records"][1][label] = value
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("estimate", "--dataset", str(small_dataset),
+               "--out", str(tmp_path / "again.jsonl"), "--method", "both") == 1
+    assert run("decode", "--dataset", str(small_dataset), "--estimates", str(est),
+               "--out", str(tmp_path / "eval.jsonl"), "--method", "genie") == 1
+    errs = capsys.readouterr().err.splitlines()
+    assert len(errs) == 2
+    for err in errs:
+        assert err.startswith(f"configuration error: {meta_path} record 1: {label} must be")
+
+
 def test_estimate_missing_dataset_is_io_error(tmp_path):
     assert run("estimate", "--dataset", str(tmp_path / "nope"),
                "--out", str(tmp_path / "est.jsonl")) == 2
@@ -300,6 +322,9 @@ BROKEN_LINE_2 = {
     "stages_not_numbers": edited(lambda line: line.update(
         band={"b1": -0.1, "b2": 0.1, "stages": [["x", 1]]})),
     "taps_empty": edited(lambda line: line.update(eq_taps=[])),
+    "band_edge_not_number": edited(lambda line: line.update(
+        band={"b1": "x", "b2": 0.1, "stages": [[0.0, 0.1]]})),
+    "diagnostics_not_object": edited(lambda line: line.update(diagnostics="junk")),
 }
 # These break line 1, record 0's blind line, which is ok on this dataset.
 BROKEN_LINE_1 = {
@@ -436,7 +461,13 @@ def test_report_rejects_non_finite_buckets(tmp_path, capsys, snr):
     '{"signal_id":0,"bogus":1}',
     '{"signal_id":0,"modulation":"bpsk","snr_db":"x","method":"blind",'
     '"abs_f0_err":0.0,"abs_tau_err":0.0,"circ_t0_err":0.0}',
-], ids=["unknown-key", "wrong-type"])
+    '{"signal_id":0,"modulation":"bpsk","snr_db":10.0,"method":"blind",'
+    '"abs_f0_err":NaN,"abs_tau_err":0.0,"circ_t0_err":0.0}',
+    '{"signal_id":0,"modulation":"bpsk","snr_db":10.0,"method":"blind",'
+    '"abs_f0_err":0.0,"abs_tau_err":0.0,"circ_t0_err":0.0,"recon_loss":Infinity}',
+    '{"signal_id":0,"modulation":"bpsk","snr_db":-Infinity,"method":"blind",'
+    '"abs_f0_err":0.0,"abs_tau_err":0.0,"circ_t0_err":0.0}',
+], ids=["unknown-key", "wrong-type", "nan", "inf", "minus-inf"])
 def test_report_malformed_line_is_config_error(tmp_path, capsys, line):
     eval_path = tmp_path / "eval.jsonl"
     eval_path.write_text(line + "\n")
@@ -445,6 +476,22 @@ def test_report_malformed_line_is_config_error(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert f"{eval_path} line 1" in err
+
+
+def test_report_noise_free_records_in_top_bucket(tmp_path):
+    data, est, eval_path = tmp_path / "ds", tmp_path / "est.jsonl", tmp_path / "eval.jsonl"
+    assert run("generate", "--out", str(data), "--count", "6", "--seed", "5",
+               "--snr", "inf", "--mods", "bpsk,qpsk") == 0
+    assert run("estimate", "--dataset", str(data), "--out", str(est),
+               "--method", "genie") == 0
+    assert run("decode", "--dataset", str(data), "--estimates", str(est),
+               "--out", str(eval_path), "--method", "genie") == 0
+    out = tmp_path / "report"
+    assert run("report", "--records", str(eval_path), "--out", str(out),
+               "--snr", "0,10,20") == 0
+    with open(out / "mae_vs_snr.csv", newline="") as fh:
+        counts = {float(r["snr_db"]): int(r["count"]) for r in csv.DictReader(fh)}
+    assert counts == {0.0: 0, 10.0: 0, 20.0: 6}
 
 
 def test_report_empty_records(tmp_path):

@@ -232,6 +232,25 @@ def test_aggregate_rejects_non_finite_buckets(bucket):
 
 
 
+def test_aggregate_noise_free_record_in_top_bucket():
+    rows = aggregate([make_record(snr_db=np.inf)], (0.0, 10.0, 20.0))
+    counts = {r.snr_db: r.count for r in rows if r.modulation == "*"}
+    assert counts == {0.0: 0, 10.0: 0, 20.0: 1}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("abs_f0_err", np.nan), ("abs_tau_err", np.inf), ("circ_t0_err", -np.inf),
+    ("recon_loss", np.nan), ("ser", np.inf), ("snr_db", np.nan), ("snr_db", -np.inf),
+])
+def test_eval_record_rejects_non_finite(field, value):
+    with pytest.raises(TypeError, match=field):
+        make_record(**{field: value})
+
+
+def test_eval_record_takes_noise_free_snr():
+    assert make_record(snr_db=np.inf).snr_db == np.inf
+
+
 def test_aggregate_permutation_invariant():
     rng = np.random.default_rng(8)
     records = [
